@@ -34,17 +34,26 @@
 //
 // Batching. Walker hand-offs toward one peer are coalesced: ForwardWalker
 // enqueues, and a per-peer sender drains whatever is queued into a single
-// kWalkerBatch frame. Under load this amortizes the per-frame cost
-// (header, gob type preamble, syscall) across every walker queued behind
-// the wire; an idle sender ships a lone walker immediately, so the
-// latency cost of batching is zero. A walker the sender cannot deliver
-// (dead peer) is retired to the coordinator as Failed — never silently
-// dropped.
+// kWalkerBatch frame, writing the drained queue's frames with one flush.
+// Under load this amortizes the per-frame cost (header, field encoding,
+// syscall) across every walker queued behind the wire; an idle sender
+// ships a lone walker immediately, so the latency cost of batching is
+// zero. A walker the sender cannot deliver (dead peer) is retired to the
+// coordinator as Failed — never silently dropped.
 //
-// Framing. Every frame is a 4-byte big-endian length followed by a
-// self-contained gob encoding of one frame struct (a fresh encoder per
-// frame: no cross-frame codec state, so a frame can be decoded in
-// isolation and a torn stream fails loudly instead of desynchronizing).
+// Framing. Every frame is a 4-byte big-endian header — the payload length,
+// plus a codec-reset flag in the top bit — followed by the gob encoding of
+// one frame struct. Each link keeps one encoder and one decoder for the
+// life of its connection, so a type's descriptor crosses the wire once
+// and later frames carry only field values. Frames therefore decode only
+// in stream order; a redial makes a new link with a new codec, so
+// redelivered walkers and blocks re-encode on it. An encode or decode
+// error closes the connection instead of risking a desynchronized
+// stream, and a decoder that does not consume exactly the header's
+// length fails the same way. After a frame larger than retainCap the
+// sender drops its encoder and the next frame restarts the stream with
+// the reset flag, so a bootstrap batch does not pin its buffers for the
+// life of the link.
 package tcpgob
 
 import (
@@ -191,68 +200,170 @@ type frame struct {
 	Bcast    fabric.Broadcast    // kBroadcast
 }
 
-// link is one connection with a locked writer. Reads are owned by exactly
-// one goroutine and need no lock.
+// codecReset flags a frame header whose payload starts a fresh gob
+// stream: the sender built a new encoder for it, so the receiver must
+// decode it with a new decoder. It sits above every legal length.
+const codecReset = 1 << 31
+
+// retainCap bounds the encode buffer a link keeps between frames. A frame
+// that grows it past this (bootstrap batches, migration blocks, edge
+// dumps) drops the buffer and the encoder, whose own internal buffer keeps
+// the largest message it ever wrote; the next frame restarts the gob
+// stream with codecReset.
+const retainCap = 64 << 10
+
+// link is one connection carrying one gob stream each way. Writers share
+// the persistent encoder under mu, so type definitions reach the wire in
+// the order the encoder emitted them; reads are owned by exactly one
+// goroutine, which also owns the decoder. The codec state lives and dies
+// with the connection: a redial makes a new link.
 type link struct {
 	conn net.Conn
+
 	mu   sync.Mutex
 	bw   *bufio.Writer
-	br   *bufio.Reader
+	enc  *gob.Encoder // nil until the first frame, and after a large one
+	ebuf bytes.Buffer // one frame's payload, measured before its header
+	werr error        // sticky: the first failed write closed the link
+
+	dec *gob.Decoder
+	fr  frameReader
 }
 
 func newLink(conn net.Conn) *link {
-	return &link{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
+	l := &link{conn: conn, bw: bufio.NewWriter(conn)}
+	l.fr.r = bufio.NewReader(conn)
+	return l
 }
 
-// write encodes f as one length-prefixed frame and flushes it.
-func (l *link) write(f *frame) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return fmt.Errorf("tcpgob: encode frame kind %d: %w", f.Kind, err)
-	}
+// write sends each of fs as one length-prefixed frame, back to back, and
+// flushes once after the last.
+func (l *link) write(fs ...*frame) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := l.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.bw.Write(buf.Bytes()); err != nil {
-		return err
+	for _, f := range fs {
+		if err := l.sendLocked(f); err != nil {
+			return err
+		}
 	}
 	if err := l.bw.Flush(); err != nil {
-		return err
-	}
-	if int(f.Kind) < len(kindNames) {
-		txFrames[f.Kind].Inc()
-		txBytes[f.Kind].Add(int64(buf.Len()) + 4)
+		return l.failLocked(err)
 	}
 	return nil
 }
 
-// read decodes the next frame (blocking).
+// sendLocked encodes f into the write buffer behind its length header.
+// Callers hold l.mu. An encoder that failed part-way may already count
+// type definitions as sent that never reached the wire, so any error
+// closes the link rather than let a later frame desynchronize the peer.
+func (l *link) sendLocked(f *frame) error {
+	if l.werr != nil {
+		return l.werr
+	}
+	hdr := uint32(0)
+	if l.enc == nil {
+		l.enc = gob.NewEncoder(&l.ebuf)
+		hdr = codecReset
+	}
+	l.ebuf.Reset()
+	if err := l.enc.Encode(f); err != nil {
+		return l.failLocked(fmt.Errorf("tcpgob: encode frame kind %d: %w", f.Kind, err))
+	}
+	n := l.ebuf.Len()
+	if n > maxFrame {
+		return l.failLocked(fmt.Errorf("tcpgob: frame kind %d of %d bytes exceeds limit", f.Kind, n))
+	}
+	var h [4]byte
+	binary.BigEndian.PutUint32(h[:], hdr|uint32(n))
+	if _, err := l.bw.Write(h[:]); err != nil {
+		return l.failLocked(err)
+	}
+	if _, err := l.bw.Write(l.ebuf.Bytes()); err != nil {
+		return l.failLocked(err)
+	}
+	if l.ebuf.Cap() > retainCap {
+		l.ebuf = bytes.Buffer{}
+		l.enc = nil
+	}
+	if int(f.Kind) < len(kindNames) {
+		txFrames[f.Kind].Inc()
+		txBytes[f.Kind].Add(int64(n) + 4)
+	}
+	return nil
+}
+
+// failLocked poisons the link: the connection closes, so the read loops
+// and senders on both ends see a dead link, and every later write
+// returns err.
+func (l *link) failLocked(err error) error {
+	l.werr = err
+	l.conn.Close()
+	return err
+}
+
+// read decodes the next frame (blocking). A decode error leaves the
+// decoder's type state undefined, so it closes the link.
 func (l *link) read() (*frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(l.br, hdr[:]); err != nil {
+	var h [4]byte
+	if _, err := io.ReadFull(l.fr.r, h[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hdr := binary.BigEndian.Uint32(h[:])
+	n := hdr &^ codecReset
 	if n > maxFrame {
+		l.conn.Close()
 		return nil, fmt.Errorf("tcpgob: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(l.br, payload); err != nil {
-		return nil, err
+	if hdr&codecReset != 0 || l.dec == nil {
+		l.dec = gob.NewDecoder(&l.fr)
 	}
-	f := new(frame)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(f); err != nil {
+	l.fr.n = int64(n)
+	f := new(frame) // fresh: gob leaves fields absent from the wire untouched
+	if err := l.dec.Decode(f); err != nil {
+		l.conn.Close()
 		return nil, fmt.Errorf("tcpgob: decode frame: %w", err)
+	}
+	if l.fr.n != 0 {
+		l.conn.Close()
+		return nil, fmt.Errorf("tcpgob: frame kind %d left %d of %d payload bytes undecoded", f.Kind, l.fr.n, n)
 	}
 	if int(f.Kind) < len(kindNames) && f.Kind > 0 {
 		rxFrames[f.Kind].Inc()
 		rxBytes[f.Kind].Add(int64(n) + 4)
 	}
 	return f, nil
+}
+
+// frameReader bounds the decoder to the current frame's payload, so the
+// decoder reads the frame straight off the connection buffer and can
+// neither run into the next frame nor stop short unnoticed. It is an
+// io.ByteReader, which keeps gob from wrapping it in a read-ahead buffer.
+type frameReader struct {
+	r *bufio.Reader
+	n int64 // payload bytes of the current frame not yet read
+}
+
+func (fr *frameReader) Read(p []byte) (int, error) {
+	if fr.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > fr.n {
+		p = p[:fr.n]
+	}
+	m, err := fr.r.Read(p)
+	fr.n -= int64(m)
+	return m, err
+}
+
+func (fr *frameReader) ReadByte() (byte, error) {
+	if fr.n <= 0 {
+		return 0, io.EOF
+	}
+	b, err := fr.r.ReadByte()
+	if err == nil {
+		fr.n--
+	}
+	return b, err
 }
 
 // ---------------------------------------------------------------------------
@@ -881,9 +992,14 @@ func (p *peerOut) loop() {
 				return
 			}
 		}
-		i := 0
-		for i < len(q) {
-			var err error
+		// The drained queue goes out as one write: one flush, one syscall
+		// for everything that queued behind the wire. Until that flush
+		// succeeds none of it is known to be sent, so a failure fails (or
+		// redelivers) the whole batch; a walker that did arrive anyway
+		// retires twice, and the coordinator keeps the first resolution.
+		fs := make([]*frame, 0, len(q))
+		var wframes, walkers int64
+		for i := 0; i < len(q); {
 			next := i + 1
 			switch {
 			case q[i].w != nil:
@@ -892,33 +1008,33 @@ func (p *peerOut) loop() {
 					next++
 				}
 				if next-i == 1 {
-					err = l.write(&frame{Kind: kWalker, Walker: *q[i].w})
+					fs = append(fs, &frame{Kind: kWalker, Walker: *q[i].w})
 				} else {
-					f := frame{Kind: kWalkerBatch, Walkers: make([]fabric.Walker, next-i)}
+					f := &frame{Kind: kWalkerBatch, Walkers: make([]fabric.Walker, next-i)}
 					for k := i; k < next; k++ {
 						f.Walkers[k-i] = *q[k].w
 					}
-					err = l.write(&f)
+					fs = append(fs, f)
 				}
-				if err == nil {
-					p.sc.transferFrames.Add(1)
-					p.sc.transferWalkers.Add(int64(next - i))
-				}
+				wframes++
+				walkers += int64(next - i)
 			case q[i].rq != nil:
-				err = l.write(&frame{Kind: kViewReq, ViewReq: *q[i].rq})
+				fs = append(fs, &frame{Kind: kViewReq, ViewReq: *q[i].rq})
 			case q[i].mb != nil:
-				err = l.write(&frame{Kind: kMigBlock, MigBlock: *q[i].mb})
+				fs = append(fs, &frame{Kind: kMigBlock, MigBlock: *q[i].mb})
 			default:
-				err = l.write(&frame{Kind: kViewRep, ViewRep: *q[i].rp})
-			}
-			if err != nil {
-				p.failWalkers(queuedWalkers(q[i:]))
-				p.redeliverBlocks(queuedBlocks(q[i:]))
-				p.fail(err)
-				return
+				fs = append(fs, &frame{Kind: kViewRep, ViewRep: *q[i].rp})
 			}
 			i = next
 		}
+		if err := l.write(fs...); err != nil {
+			p.failWalkers(queuedWalkers(q))
+			p.redeliverBlocks(queuedBlocks(q))
+			p.fail(err)
+			return
+		}
+		p.sc.transferFrames.Add(wframes)
+		p.sc.transferWalkers.Add(walkers)
 	}
 }
 

@@ -7,6 +7,10 @@
 package tcpgob
 
 import (
+	"encoding/gob"
+	"errors"
+	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"testing"
@@ -18,7 +22,8 @@ import (
 	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
-// roundTrip pushes one frame through a link pair over an in-memory pipe.
+// roundTrip pushes one frame through a fresh link pair over an in-memory
+// pipe.
 func roundTrip(t *testing.T, f *frame) *frame {
 	t.Helper()
 	c1, c2 := net.Pipe()
@@ -317,5 +322,223 @@ func TestLoopbackFabricSession(t *testing.T) {
 			t.Fatalf("event stream did not close after shutdown (stuck on %+v)", ev)
 		default:
 		}
+	}
+}
+
+// pipeLinks returns the two ends of an in-memory connection as links.
+func pipeLinks(t testing.TB) (*link, *link) {
+	t.Helper()
+	c1, c2 := net.Pipe()
+	t.Cleanup(func() {
+		c1.Close()
+		c2.Close()
+	})
+	return newLink(c1), newLink(c2)
+}
+
+// sampleFrame builds a representative frame of kind k, its content
+// varied by i. Slices and maps are non-empty or nil, never empty, since
+// gob decodes an empty one as nil.
+func sampleFrame(k uint8, i int) *frame {
+	v := graph.VertexID(4_000_000_000 + i)
+	walker := func(id int) fabric.Walker {
+		r := xrand.New(uint64(id) + 1)
+		path := make([]graph.VertexID, 40)
+		for j := range path {
+			path[j] = v + graph.VertexID(j)
+		}
+		return fabric.Walker{
+			ID: uint64(id), Cur: v, Left: 40, Rng: r.State(), Record: true, Path: path,
+			Steps: 40, Transfers: int64(id % 7), Local: 30, Remote: 3,
+		}
+	}
+	marks := []int64{int64(i), int64(2 * i), 7}
+	switch k {
+	case kHelloCoord:
+		return &frame{Kind: k, Hello: fabric.Hello{
+			Shards: 2, Shard: i % 2, RangeSize: 1009, NumVertices: 4036,
+			Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Session: uint64(i) + 1,
+			Cache: fabric.CacheSpec{Size: 128, MinDegree: 4},
+		}}
+	case kHelloPeer:
+		return &frame{Kind: k, From: i % 4, Session: uint64(i) + 99}
+	case kWalker, kRetire:
+		return &frame{Kind: k, Walker: walker(i)}
+	case kWalkerBatch:
+		ws := make([]fabric.Walker, 8)
+		for j := range ws {
+			ws[j] = walker(i*8 + j)
+		}
+		return &frame{Kind: k, Walkers: ws}
+	case kUpdates:
+		ups := make([]graph.Update, 25)
+		for j := range ups {
+			ups[j] = graph.Update{Op: graph.OpInsert, Src: v, Dst: graph.VertexID(j), Bias: uint64(j + 1)}
+		}
+		ups[3].Op, ups[7].FBias = graph.OpDelete, 0.625
+		return &frame{Kind: k, Ingest: fabric.Ingest{Ups: ups, Watermarks: marks}}
+	case kBarrier:
+		return &frame{Kind: k, Ingest: fabric.Ingest{Barrier: uint64(i) + 1, Watermarks: marks}}
+	case kAck:
+		return &frame{Kind: k, Ack: fabric.Ack{
+			Shard: i % 2, Seq: uint64(i) + 1, Updates: int64(100 * i), Vertices: 40_000, Steps: int64(i) * 80,
+			Cache: fabric.CacheTallies{LocalHits: int64(i), RemoteHits: 3, ViewRequests: 1},
+		}}
+	case kViewReq:
+		return &frame{Kind: k, ViewReq: fabric.ViewRequest{From: i % 2, Vertex: v}}
+	case kViewRep:
+		dsts := make([]graph.VertexID, 16)
+		bias := make([]uint64, 16)
+		for j := range dsts {
+			dsts[j], bias[j] = graph.VertexID(j*31), uint64(j+1)
+		}
+		return &frame{Kind: k, ViewRep: fabric.ViewReply{
+			From: 1, Vertex: v, Hub: true, Applied: int64(i),
+			View: core.VertexView{
+				Vertex: v, Epoch: uint64(i), Applied: int64(i), RadixBits: 3, Dsts: dsts, Bias: bias,
+				Groups: []core.ViewGroup{{GID: 2, Kind: core.KindRegular, Count: 2, One: -1, List: []int32{0, 2}}},
+				Cum:    []float64{12, 14},
+			},
+		}}
+	case kShutdown:
+		return &frame{Kind: k}
+	case kMigBlock:
+		return &frame{Kind: k, MigBlock: fabric.MigrateBlock{
+			Block: uint64(i), From: 1, Epoch: 5, Watermark: 99,
+			Rows: []graph.Update{{Op: graph.OpInsert, Src: v, Dst: 1, Bias: 2}},
+		}}
+	case kMigDone:
+		return &frame{Kind: k, MigDone: fabric.MigrateDone{Shard: 1, Block: uint64(i), Epoch: 5, Edges: 12}}
+	case kCredit:
+		return &frame{Kind: k, Credit: fabric.Credit{Shard: i % 2, Credited: int64(25 * i)}}
+	case kBroadcast:
+		return &frame{Kind: k, Bcast: fabric.Broadcast{
+			Seq: uint64(i) + 1, Epoch: 3, Overlay: map[uint64]int{9: 1}, RangeSize: 1009, Vertices: 4036,
+			Watermarks: marks,
+		}}
+	}
+	panic("sampleFrame: unknown kind")
+}
+
+// bigUpdates is an updates frame large enough to exceed retainCap, like a
+// bootstrap batch.
+func bigUpdates(n int) *frame {
+	ups := make([]graph.Update, n)
+	for j := range ups {
+		ups[j] = graph.Update{Op: graph.OpInsert, Src: graph.VertexID(j), Dst: graph.VertexID(4_000_000_000 - j), Bias: uint64(j) + 1}
+	}
+	return &frame{Kind: kUpdates, Ingest: fabric.Ingest{Ups: ups, Boot: true, Watermarks: []int64{int64(n)}}}
+}
+
+// TestLinkStreamMixedFrames sends 1,000 frames of every kind down one
+// link pair: each must arrive in order, equal to what was sent, while the
+// persistent codec carries type state from frame to frame. A few
+// oversized frames make the sender drop its codec; the receiver must
+// switch decoders exactly then and stay in step.
+func TestLinkStreamMixedFrames(t *testing.T) {
+	l1, l2 := pipeLinks(t)
+	r := rand.New(rand.NewSource(5))
+	sent := make([]*frame, 1000)
+	big := 0
+	for i := range sent {
+		if i%211 == 100 {
+			sent[i] = bigUpdates(8000)
+			big++
+			continue
+		}
+		sent[i] = sampleFrame(uint8(1+r.Intn(len(kindNames)-1)), i)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		for _, f := range sent {
+			if err := l1.write(f); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	resets := 0
+	for i, want := range sent {
+		dec := l2.dec
+		got, err := l2.read()
+		if err != nil {
+			t.Fatalf("frame %d: read: %v", i, err)
+		}
+		if l2.dec != dec {
+			resets++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d (kind %s): got %+v, want %+v", i, kindNames[want.Kind], got, want)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// One codec for the first frame, one more after each oversized one.
+	if resets != 1+big {
+		t.Fatalf("%d codec resets over %d oversized frames, want %d", resets, big, 1+big)
+	}
+	if l1.ebuf.Cap() > retainCap {
+		t.Fatalf("link kept a %d-byte encode buffer", l1.ebuf.Cap())
+	}
+}
+
+// TestLinkStreamNoCarryOver pins decoding into a fresh frame: gob leaves
+// fields absent from the wire untouched, so a failed walker with a path
+// followed by a clean one must not leak Failed or Path into the second.
+func TestLinkStreamNoCarryOver(t *testing.T) {
+	l1, l2 := pipeLinks(t)
+	first := fabric.Walker{ID: 1, Cur: 9, Failed: true, Path: []graph.VertexID{1, 2, 3}, Steps: 3}
+	second := fabric.Walker{ID: 2, Cur: 5, Left: 4}
+	errc := make(chan error, 1)
+	go func() {
+		errc <- l1.write(&frame{Kind: kRetire, Walker: first}, &frame{Kind: kWalker, Walker: second})
+	}()
+	for _, want := range []fabric.Walker{first, second} {
+		got, err := l2.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Walker, want) {
+			t.Fatalf("got %+v, want %+v", got.Walker, want)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("injected encode failure") }
+
+// TestEncodeErrorClosesLink forces an encode failure part-way through a
+// stream. The encoder's state is then unknown, so the link must close:
+// the peer sees the stream end instead of a desynchronized frame, and
+// every later write fails.
+func TestEncodeErrorClosesLink(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	l1, l2 := newLink(c1), newLink(c2)
+	errc := make(chan error, 1)
+	go func() { errc <- l1.write(sampleFrame(kWalker, 1)) }()
+	if _, err := l2.read(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
+	l1.enc = gob.NewEncoder(failWriter{})
+	if err := l1.write(sampleFrame(kCredit, 2)); err == nil {
+		t.Fatal("write succeeded through a failing encoder")
+	}
+	if err := l1.write(sampleFrame(kWalker, 3)); err == nil {
+		t.Fatal("write succeeded on a poisoned link")
+	}
+	c2.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a pipe supports deadlines
+	if f, err := l2.read(); !errors.Is(err, io.EOF) {
+		t.Fatalf("peer read %+v, %v from a poisoned link; want the stream closed", f, err)
 	}
 }

@@ -216,6 +216,16 @@ type rejoinState struct {
 // backstop against relaunch loops when the fleet keeps churning.
 const maxWalkerReroutes = 32
 
+// rerouteBackoff is how long a walker bounced off a dead link waits
+// before its next launch. The node that bounced it may not have applied
+// the death flip yet and would hand it straight back to the dead shard;
+// without a pause that ping-pong burns the whole reroute budget inside
+// one stale-plan window. Growing with the count, the waits spread the
+// budget over about half a second.
+func rerouteBackoff(reroutes int) time.Duration {
+	return time.Duration(reroutes) * time.Millisecond
+}
+
 // migOp is one block migration routed through the feed queue, so its
 // offer and commit publishes are ordered against every batch accepted
 // before it.
@@ -875,6 +885,13 @@ func (c *coordinator) ctrlClearOp(s int) {
 	c.rejoinsDone.Add(1)
 	obs.Log.Record(obs.EvShardRejoin, s, fmt.Sprintf("primed and live again (epoch %d)", next.Epoch))
 	c.broadcastNow() // readers see the shard live again
+	// A survivor that had not yet applied the death flip may have handed
+	// a walker to the dead daemon after the death-time relaunch: a TCP
+	// write into a just-killed peer can succeed locally and vanish. The
+	// donors applied the flip before shipping the rejoiner its blocks, so
+	// a second sweep here catches walkers lost in that window; a
+	// duplicate retire resolves first-wins.
+	c.relaunchPending()
 }
 
 // cloneWalker deep-copies a walker's launch state (Path is the only
@@ -1036,7 +1053,10 @@ func (c *coordinator) onRetire(w *fabric.Walker) {
 		w.Failed = false
 		w.Reroutes++
 		c.walkerReroutes.Add(1)
-		go c.relaunchWalker(w)
+		go func() {
+			time.Sleep(rerouteBackoff(w.Reroutes))
+			c.relaunchWalker(w)
+		}()
 		return
 	}
 	if isQ {

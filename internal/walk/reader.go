@@ -310,7 +310,10 @@ func (r *ReaderService) onRetire(w *fabric.Walker) {
 			w.Failed = false
 			w.Reroutes++
 			r.relaunched.Add(1)
-			go r.relaunchWalker(w)
+			go func() {
+				time.Sleep(rerouteBackoff(w.Reroutes))
+				r.relaunchWalker(w)
+			}()
 			return
 		}
 	}
