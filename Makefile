@@ -51,9 +51,12 @@ distserve-smoke:
 # chaos-fabric kill/restart (race-detected), the credit-window bound
 # against a slow shard, the transport's dial/accept hardening
 # regressions, and the real kill -9 of a shard daemon mid-tape with
-# chi-square + edge-for-edge validation after the rejoin.
+# chi-square + edge-for-edge validation after the rejoin. The in-process
+# kill/restart and the spent-reroute-budget regression also run without
+# -race, where the scheduling differs.
 fault-smoke:
 	$(GO) test -race -count 1 -run 'TestFailoverKillRestartDifferential|TestCreditWindowBoundsSlowShard' ./internal/walk/
+	$(GO) test -count 1 -run 'TestFailoverKillRestartDifferential|TestRelaunchBudgetExhaustedFails' ./internal/walk/
 	$(GO) test -race -count 1 -run 'TestDialFindsLateDaemon|TestAcceptLoopSurvivesGarbageClients' ./internal/fabric/tcpgob/
 	$(GO) test -race -count 1 -timeout 20m -run TestFaultKillDaemonMidTape -v .
 
@@ -68,11 +71,12 @@ corpus-smoke:
 # Multi-coordinator smoke: the reader-tier differentials — two read-
 # coordinators querying through a rebalance migration mid-tape
 # (in-process fabric AND loopback tcpgob, chi-square + edge-for-edge),
-# reader crash isolation, plan-epoch broadcast invalidation — plus the
-# real-process variant: bingowalk -shard-serve daemons, a ServeRemote
-# write session, and bingo.AttachReader readers over loopback.
+# reader crash isolation, plan-epoch broadcast invalidation, a reader
+# relaunching a walker lost in a dead shard — plus the real-process
+# variant: bingowalk -shard-serve daemons, a ServeRemote write session,
+# and bingo.AttachReader readers over loopback.
 coord-smoke:
-	$(GO) test -race -count 1 -timeout 20m -run 'TestMultiCoord|TestReaderCrash|TestPlanEpochBroadcast' -v ./internal/walk/
+	$(GO) test -race -count 1 -timeout 20m -run 'TestMultiCoord|TestReaderCrash|TestPlanEpochBroadcast|TestReaderRelaunchesLostWalker' -v ./internal/walk/
 	$(GO) test -race -count 1 -timeout 20m -run TestCoordScaleRealProcess -v .
 
 # Observability smoke: real -shard-serve daemons each serving a

@@ -66,8 +66,11 @@ type coordinator struct {
 
 	feed   chan coordMsg
 	master *xrand.RNG // Split-only after construction (reads, no state advance)
-	idSeq  atomic.Uint64
 	barSeq atomic.Uint64
+
+	// walkers launches queries and bulk walkers and completes them from
+	// the retire stream (shared with ReaderService).
+	walkers walkerTable
 
 	// ledger is the per-shard routed-update count (written only by the
 	// router goroutine; ledMu guards the writes because broadcastNow
@@ -93,28 +96,23 @@ type coordinator struct {
 	sendMu sync.RWMutex
 	closed bool
 
-	pending sync.WaitGroup // in-flight walkers (queries and bulk)
 	routing sync.WaitGroup // router loop
 	evloop  sync.WaitGroup // event loop
 
-	// mu guards the pending-completion tables the event loop resolves,
-	// and the dead flag that fences new registrations once it has exited.
-	mu      sync.Mutex
-	dead    bool // event stream ended; nothing will ever complete again
-	replies map[uint64]chan []graph.VertexID
-	bulks   map[uint64]*bulkRun
-	syncs   map[uint64]*barrierWait
-	migs    map[uint64]chan *fabric.MigrateDone // in-flight migrations by epoch
-	acks    []fabric.Ack                        // latest ack per shard (cumulative tallies)
+	// mu guards the barrier, migration, and rejoin tables the event loop
+	// resolves, and the dead flag that fences new registrations once it
+	// has exited.
+	mu    sync.Mutex
+	dead  bool // event stream ended; nothing will ever complete again
+	syncs map[uint64]*barrierWait
+	migs  map[uint64]chan *fabric.MigrateDone // in-flight migrations by epoch
+	acks  []fabric.Ack                        // latest ack per shard (cumulative tallies)
 	// downs marks shards the coordinator currently considers dead (set by
 	// the event loop the moment a link dies, cleared by the router at
 	// failback): it gates which shards a barrier is published to and
-	// which deaths need barrier fixups. specs keeps a clone of every
-	// in-flight walker's launch state (replicated sessions only) so
-	// walkers swallowed by a dead daemon can be relaunched; rejoins
-	// tracks each in-flight rejoin's outstanding block copies.
+	// which deaths need barrier fixups. rejoins tracks each in-flight
+	// rejoin's outstanding block copies.
 	downs   []bool
-	specs   map[uint64]*fabric.Walker
 	rejoins map[int]*rejoinState
 
 	// Credit-window flow control (tentpole half 1). routed[s] counts
@@ -154,8 +152,7 @@ type coordinator struct {
 	// horizon for replica re-priming.
 	maxVerts atomic.Int64
 
-	deaths, walkerReroutes, relaunched atomic.Int64
-	rejoinsDone, copiedBlocks          atomic.Int64
+	deaths, rejoinsDone, copiedBlocks atomic.Int64
 
 	// rebStop/rebWg manage the rebalancer watch loop when cfg.Rebalance
 	// is on. Close stops the loop and waits for its in-flight migration
@@ -211,21 +208,6 @@ type rejoinState struct {
 	donors    map[int]bool // shards serving as copy donors for this rejoin
 }
 
-// maxWalkerReroutes caps how many times one walker may be re-routed or
-// relaunched across shard deaths before its session call fails — a
-// backstop against relaunch loops when the fleet keeps churning.
-const maxWalkerReroutes = 32
-
-// rerouteBackoff is how long a walker bounced off a dead link waits
-// before its next launch. The node that bounced it may not have applied
-// the death flip yet and would hand it straight back to the dead shard;
-// without a pause that ping-pong burns the whole reroute budget inside
-// one stale-plan window. Growing with the count, the waits spread the
-// budget over about half a second.
-func rerouteBackoff(reroutes int) time.Duration {
-	return time.Duration(reroutes) * time.Millisecond
-}
-
 // migOp is one block migration routed through the feed queue, so its
 // offer and commit publishes are ordered against every batch accepted
 // before it.
@@ -255,13 +237,6 @@ type barrierWait struct {
 	done      chan struct{}
 }
 
-// bulkRun aggregates one DeepWalk invocation across its walkers.
-type bulkRun struct {
-	steps, transfers, local, remote atomic.Int64
-	visits                          *visitCounter
-	wg                              sync.WaitGroup
-}
-
 func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig) *coordinator {
 	c := &coordinator{
 		port:     port,
@@ -269,14 +244,11 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 		cfg:      cfg,
 		feed:     make(chan coordMsg, cfg.QueueDepth),
 		master:   xrand.New(cfg.Seed),
-		replies:  map[uint64]chan []graph.VertexID{},
-		bulks:    map[uint64]*bulkRun{},
 		syncs:    map[uint64]*barrierWait{},
 		migs:     map[uint64]chan *fabric.MigrateDone{},
 		acks:     make([]fabric.Ack, plan.Shards),
 		ledger:   make([]int64, plan.Shards),
 		downs:    make([]bool, plan.Shards),
-		specs:    map[uint64]*fabric.Walker{},
 		rejoins:  map[int]*rejoinState{},
 		window:   int64(cfg.CreditWindow),
 		routed:   make([]int64, plan.Shards),
@@ -288,6 +260,7 @@ func newCoordinator(port fabric.CoordPort, plan ShardPlan, cfg ShardedLiveConfig
 	}
 	c.credCond = sync.NewCond(&c.credMu)
 	c.planv.Store(&plan)
+	c.walkers.init(port.LaunchWalker, c.planNow, c.tally)
 	c.routing.Add(1)
 	go c.routerLoop()
 	c.evloop.Add(1)
@@ -687,9 +660,7 @@ func (c *coordinator) pushCtrl(op ctrlOp) {
 // masked dead), flip the plan, announce the flip on every live shard's
 // FIFO stream (the ordering that makes the dead-mask consistent at
 // barrier points), and relaunch every in-flight walker from its stored
-// launch clone — anything queued inside the dead daemon is gone, and a
-// duplicate retire from a walker that was actually elsewhere resolves
-// harmlessly (first retire wins).
+// launch spec — anything queued inside the dead daemon is gone.
 func (c *coordinator) ctrlDownOp(s int) {
 	c.priming[s] = false
 	c.mu.Lock()
@@ -735,34 +706,7 @@ func (c *coordinator) ctrlDownOp(s int) {
 		_ = c.port.PublishUpdates(i, fabric.Ingest{Down: sd, Watermarks: c.ledgerCopy()})
 	}
 	c.broadcastNow() // readers re-route around the new dead-mask
-	c.relaunchPending()
-}
-
-// relaunchPending re-launches a clone of every still-pending walker (its
-// original may be lost inside a dead daemon). Each clone burns one
-// reroute from the walker's budget, which bounds relaunch churn across
-// repeated deaths.
-func (c *coordinator) relaunchPending() {
-	c.mu.Lock()
-	clones := make([]*fabric.Walker, 0, len(c.specs))
-	for id, w := range c.specs {
-		_, q := c.replies[id]
-		_, b := c.bulks[id]
-		if !q && !b {
-			delete(c.specs, id) // resolved already; drop the stale clone
-			continue
-		}
-		if w.Reroutes >= maxWalkerReroutes {
-			continue
-		}
-		w.Reroutes++
-		clones = append(clones, cloneWalker(w))
-	}
-	c.mu.Unlock()
-	for _, w := range clones {
-		c.relaunched.Add(1)
-		go c.relaunchWalker(w)
-	}
+	c.walkers.relaunchPending()
 }
 
 // ctrlUpOp handles a rejoined shard: reset its credit accounting (a
@@ -891,31 +835,7 @@ func (c *coordinator) ctrlClearOp(s int) {
 	// donors applied the flip before shipping the rejoiner its blocks, so
 	// a second sweep here catches walkers lost in that window; a
 	// duplicate retire resolves first-wins.
-	c.relaunchPending()
-}
-
-// cloneWalker deep-copies a walker's launch state (Path is the only
-// reference field).
-func cloneWalker(w *fabric.Walker) *fabric.Walker {
-	cp := *w
-	cp.Path = append([]graph.VertexID(nil), w.Path...)
-	return &cp
-}
-
-// relaunchWalker retries launching a walker toward its vertex's current
-// owner until a live link accepts it — the plan flip races the launch,
-// so early attempts may still name the dead shard. On giving up the
-// walker is retired as failed through the normal resolution path.
-func (c *coordinator) relaunchWalker(w *fabric.Walker) {
-	for i := 0; i < 50; i++ {
-		if err := c.port.LaunchWalker(c.planNow().Owner(w.Cur), w); err == nil {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	w.Failed = true
-	w.Reroutes = maxWalkerReroutes // no further re-route attempts
-	c.onRetire(w)
+	c.walkers.relaunchPending()
 }
 
 // eventLoop consumes retires and acks until the fabric's event stream
@@ -930,7 +850,7 @@ func (c *coordinator) eventLoop() {
 		}
 		switch ev.Kind {
 		case fabric.EvRetire:
-			c.onRetire(ev.Walker)
+			c.walkers.onRetire(ev.Walker)
 		case fabric.EvAck:
 			c.onAck(ev.Ack)
 		case fabric.EvMigrated:
@@ -1030,44 +950,10 @@ func (c *coordinator) onCopyDone(d *fabric.MigrateDone) {
 	c.pushCtrl(ctrlOp{kind: ctrlClear, shard: d.Shard})
 }
 
-func (c *coordinator) onRetire(w *fabric.Walker) {
-	c.mu.Lock()
-	reply, isQ := c.replies[w.ID]
-	var run *bulkRun
-	var isB bool
-	if !isQ {
-		run, isB = c.bulks[w.ID]
-	}
-	if !isQ && !isB {
-		// Duplicate retire: the walker was relaunched after a shard death
-		// and both copies finished — the first resolution won. (Also
-		// covers retires arriving after failPending.)
-		c.mu.Unlock()
-		return
-	}
-	if w.Failed && c.planNow().Replicas > 1 && w.Reroutes < maxWalkerReroutes {
-		// A crew's forward hit a dead link. The retire carries the
-		// walker's exact mid-walk state (position, budget, RNG), so it
-		// continues on a live replica instead of failing the session.
-		c.mu.Unlock()
-		w.Failed = false
-		w.Reroutes++
-		c.walkerReroutes.Add(1)
-		go func() {
-			time.Sleep(rerouteBackoff(w.Reroutes))
-			c.relaunchWalker(w)
-		}()
-		return
-	}
-	if isQ {
-		delete(c.replies, w.ID)
-	} else {
-		delete(c.bulks, w.ID)
-	}
-	delete(c.specs, w.ID)
-	c.mu.Unlock()
-	// Tallies fold in only at resolution, so a duplicate or rerouted
-	// retire never double-counts.
+// tally folds a resolved walker's telemetry into the session counters.
+// Tallies fold in only at resolution, so a duplicate or rerouted retire
+// never double-counts.
+func (c *coordinator) tally(w *fabric.Walker) {
 	c.steps.Add(w.Steps)
 	c.transfers.Add(w.Transfers)
 	c.local.Add(w.Local)
@@ -1075,27 +961,6 @@ func (c *coordinator) onRetire(w *fabric.Walker) {
 	if w.Failed {
 		c.setErr(ErrFabricDown)
 	}
-	if isQ {
-		c.queries.Add(1)
-		if w.Failed {
-			reply <- nil // Query maps a nil path to ErrFabricDown
-		} else {
-			reply <- w.Path
-		}
-		c.pending.Done()
-		return
-	}
-	run.steps.Add(w.Steps)
-	run.transfers.Add(w.Transfers)
-	run.local.Add(w.Local)
-	run.remote.Add(w.Remote)
-	if run.visits != nil {
-		for _, v := range w.Path {
-			run.visits.bump(v)
-		}
-	}
-	run.wg.Done()
-	c.pending.Done()
 }
 
 func (c *coordinator) onAck(a *fabric.Ack) {
@@ -1166,8 +1031,8 @@ func (c *coordinator) onMigrated(d *fabric.MigrateDone) {
 }
 
 // failPending unblocks every caller still waiting when the event stream
-// dies: queries get a nil path (their Query call maps it to
-// ErrFabricDown), bulk runs and barriers complete with the error. It
+// dies: walkers resolve as lost (their Query or DeepWalk call fails with
+// ErrFabricDown), barriers and migrations complete with the error. It
 // also marks the coordinator dead under the same lock registrations take,
 // so no later caller can register into a table nothing will ever resolve.
 func (c *coordinator) failPending() {
@@ -1177,29 +1042,17 @@ func (c *coordinator) failPending() {
 	c.credClosed = true
 	c.credCond.Broadcast()
 	c.credMu.Unlock()
+	lost := c.walkers.failPending()
 	c.mu.Lock()
 	c.dead = true
-	replies := c.replies
-	bulks := c.bulks
 	syncs := c.syncs
 	migs := c.migs
-	c.replies = map[uint64]chan []graph.VertexID{}
-	c.bulks = map[uint64]*bulkRun{}
 	c.syncs = map[uint64]*barrierWait{}
 	c.migs = map[uint64]chan *fabric.MigrateDone{}
-	c.specs = map[uint64]*fabric.Walker{}
 	c.rejoins = map[int]*rejoinState{}
 	c.mu.Unlock()
 	for _, ch := range migs {
 		ch <- nil // Migrate maps nil to ErrFabricDown
-	}
-	for _, ch := range replies {
-		ch <- nil
-		c.pending.Done()
-	}
-	for _, run := range bulks {
-		run.wg.Done()
-		c.pending.Done()
 	}
 	for _, bw := range syncs {
 		if bw.err == nil {
@@ -1207,7 +1060,7 @@ func (c *coordinator) failPending() {
 		}
 		close(bw.done)
 	}
-	if len(replies)+len(bulks)+len(syncs)+len(migs) > 0 {
+	if lost+len(syncs)+len(migs) > 0 {
 		c.setErr(ErrFabricDown)
 	}
 }
@@ -1229,62 +1082,30 @@ func (c *coordinator) Query(start graph.VertexID, length int) ([]graph.VertexID,
 		c.sendMu.RUnlock()
 		return nil, ErrLiveClosed
 	}
-	id := c.idSeq.Add(1)
+	id := c.walkers.nextID()
 	path := make([]graph.VertexID, 1, length+1)
 	path[0] = start
-	wk := &fabric.Walker{
+	reply, err := c.walkers.start(&fabric.Walker{
 		ID:     id,
 		Cur:    start,
 		Left:   length,
 		Rng:    c.master.Split(id).State(),
 		Record: true,
 		Path:   path,
-	}
-	reply := make(chan []graph.VertexID, 1)
-	replicated := c.planNow().Replicas > 1
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		c.sendMu.RUnlock()
-		return nil, ErrFabricDown
-	}
-	// pending.Add must happen before the registration is visible: the
-	// matching Done comes from the event loop (retire or failPending),
-	// which may run the instant the lock is released.
-	c.pending.Add(1)
-	c.replies[id] = reply
-	if replicated {
-		// The clone outlives the launch: a shard death relaunches every
-		// pending walker from its stored spec (registered before the
-		// launch so no death can fall between them unseen).
-		c.specs[id] = cloneWalker(wk)
-	}
-	c.mu.Unlock()
-	if err := c.port.LaunchWalker(c.planNow().Owner(start), wk); err != nil {
-		if replicated {
-			// The target link died under the launch; retry toward
-			// whatever replica the flipped plan names.
-			go c.relaunchWalker(wk)
-		} else {
-			c.mu.Lock()
-			if _, still := c.replies[id]; still {
-				delete(c.replies, id)
-				c.pending.Done()
-			}
-			c.mu.Unlock()
-			c.sendMu.RUnlock()
-			return nil, err
-		}
-	}
+	})
 	c.sendMu.RUnlock()
-	p := <-reply
-	if p == nil {
-		return nil, ErrFabricDown
+	if err != nil {
+		return nil, err
 	}
+	w, err := awaitWalker(reply)
+	if err != nil {
+		return nil, err
+	}
+	c.queries.Add(1)
 	if !t0.IsZero() {
 		coordQueryNs.ObserveSince(t0)
 	}
-	return p, nil
+	return w.Path, nil
 }
 
 // Feed enqueues a batch for routed ingestion. It blocks when the feed
@@ -1384,105 +1205,26 @@ func (c *coordinator) DumpEdges() ([][]graph.Edge, error) {
 }
 
 // DeepWalk runs a bulk first-order walk through the sharded runtime while
-// the feed keeps ingesting: every start becomes a transferable walker
-// with its own RNG stream. numVertices is the caller's view of the
-// current vertex space (default start set and visit-tally sizing).
-//
-// Visit counting rides on walker paths: a CountVisits run makes every
-// walker record its hops and the coordinator folds them into the tally at
-// retire, which is what lets the identical protocol cross a process
-// boundary (shards share no counter). The cost is O(len(starts) × Length)
-// transient path memory across in-flight walkers — bound the start set
-// for visit-counting runs over very large graphs.
+// the feed keeps ingesting (see walkerTable.startBulk). numVertices is
+// the caller's view of the current vertex space. It fails with
+// ErrFabricDown if any walker is lost.
 func (c *coordinator) DeepWalk(cfg Config, numVertices int) (Result, TransferStats, error) {
-	cfg = cfg.withDefaults(numVertices)
-	starts := cfg.Starts
-	if starts == nil {
-		starts = make([]graph.VertexID, numVertices)
-		for i := range starts {
-			starts[i] = graph.VertexID(i)
-		}
-	}
-	run := &bulkRun{}
-	if cfg.CountVisits {
-		run.visits = newVisitCounter(numVertices)
-	}
-	bulkMaster := xrand.New(cfg.Seed)
-
 	c.sendMu.RLock()
 	if c.closed {
 		c.sendMu.RUnlock()
 		return Result{}, TransferStats{}, ErrLiveClosed
 	}
-	// Register every walker before launching any: a retire must never
-	// find its run missing. The Adds precede the registrations for the
-	// same reason as in Query: failPending may Done them the instant the
-	// lock drops.
-	ids := make([]uint64, len(starts))
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		c.sendMu.RUnlock()
-		return Result{}, TransferStats{}, ErrFabricDown
-	}
-	run.wg.Add(len(starts))
-	c.pending.Add(len(starts))
-	for i := range starts {
-		ids[i] = c.idSeq.Add(1)
-		c.bulks[ids[i]] = run
-	}
-	c.mu.Unlock()
-	replicated := c.planNow().Replicas > 1
-	for i, st := range starts {
-		if run.visits != nil {
-			run.visits.bump(st)
-		}
-		wk := &fabric.Walker{
-			ID:     ids[i],
-			Cur:    st,
-			Left:   cfg.Length,
-			Rng:    bulkMaster.Split(uint64(i)).State(),
-			Record: cfg.CountVisits,
-		}
-		if replicated {
-			// Spec before launch: a death between the two relaunches the
-			// clone, and a duplicate retire resolves harmlessly.
-			c.mu.Lock()
-			if _, still := c.bulks[ids[i]]; still {
-				c.specs[ids[i]] = cloneWalker(wk)
-			}
-			c.mu.Unlock()
-		}
-		if err := c.port.LaunchWalker(c.planNow().Owner(st), wk); err != nil {
-			if replicated {
-				go c.relaunchWalker(wk)
-				continue
-			}
-			c.setErr(err)
-			c.mu.Lock()
-			if _, still := c.bulks[ids[i]]; still {
-				delete(c.bulks, ids[i])
-				run.wg.Done()
-				c.pending.Done()
-			}
-			c.mu.Unlock()
-		}
-	}
+	run := c.walkers.startBulk(cfg, numVertices)
 	c.sendMu.RUnlock()
 	var t0 time.Time
 	if obs.On() {
 		t0 = time.Now()
 	}
-	run.wg.Wait()
+	res, ts, err := run.wait()
 	if !t0.IsZero() {
 		coordDeepwalkNs.ObserveSince(t0)
 	}
-
-	res := Result{Walkers: len(starts), Steps: run.steps.Load()}
-	if run.visits != nil {
-		res.Visits = run.visits.snapshot()
-	}
-	return res, TransferStats{Transfers: run.transfers.Load(), Local: run.local.Load(), Remote: run.remote.Load()}, nil
+	return res, ts, err
 }
 
 // Close drains the feed (queued batches are routed and applied), stops
@@ -1503,8 +1245,8 @@ func (c *coordinator) Close() error {
 			close(c.rebStop)
 			c.rebWg.Wait() // in-flight migration completes via the event loop
 		}
-		c.routing.Wait() // every accepted batch published
-		c.pending.Wait() // every accepted walker retired
+		c.routing.Wait()          // every accepted batch published
+		c.walkers.inflight.Wait() // every accepted walker retired
 		c.port.Close()
 		obs.UnregisterExporter(c.obsKey)
 	}
@@ -1523,8 +1265,8 @@ func (c *coordinator) backpressureTallies() (maxOutstanding int64, stall time.Du
 func (c *coordinator) failoverTallies() FailoverTallies {
 	return FailoverTallies{
 		Deaths:       c.deaths.Load(),
-		Reroutes:     c.walkerReroutes.Load(),
-		Relaunches:   c.relaunched.Load(),
+		Reroutes:     c.walkers.reroutes.Load(),
+		Relaunches:   c.walkers.relaunches.Load(),
 		Rejoins:      c.rejoinsDone.Load(),
 		CopiedBlocks: c.copiedBlocks.Load(),
 	}

@@ -24,9 +24,9 @@ var (
 )
 
 // This file is the shared stepping kernel every serving loop in the
-// package runs on: the LiveService pool, the Sharded demo workers, the
-// shardNode crews, and bulk DeepWalk. It replaces the three near-duplicate
-// per-walker loops those layers used to carry.
+// package runs on: the LiveService pool, the shardNode crews, and bulk
+// DeepWalk. It replaces the near-duplicate per-walker loops those layers
+// used to carry.
 //
 // The kernel steps a *frontier* — a SoA batch of in-flight walkers — one
 // hop per round. Walkers parked on the same vertex form a run, and a run

@@ -126,11 +126,6 @@ func TestLiveServiceBulkKernels(t *testing.T) {
 	if res.Walkers != 128 || res.Steps != 128*10 {
 		t.Fatalf("Bulk DeepWalk: %d walkers / %d steps, want 128 / 1280", res.Walkers, res.Steps)
 	}
-	sh := svc.NewSharded(4)
-	shRes, _ := sh.DeepWalk(walk.Config{Length: 10, Seed: 5})
-	if shRes.Steps != 128*10 {
-		t.Fatalf("Sharded DeepWalk steps %d, want 1280", shRes.Steps)
-	}
 }
 
 func TestLiveServiceIngestError(t *testing.T) {

@@ -82,16 +82,14 @@ type ReaderService struct {
 
 	planv  atomic.Pointer[ShardPlan]
 	master *xrand.RNG // Split-only after construction (reads, no state advance)
-	idSeq  atomic.Uint64
+
+	// walkers launches this reader's walkers into the shard set and
+	// completes them from its retire stream (shared with the write
+	// coordinator).
+	walkers walkerTable
 
 	rv      *remoteViews
 	cacheOn bool
-
-	// mu guards the pending-retire callbacks and the dead flag that
-	// fences new registrations once the event stream has ended.
-	mu      sync.Mutex
-	dead    bool
-	pending map[uint64]func(*fabric.Walker)
 
 	// lastSeq is the newest broadcast sequence applied (event-loop
 	// writes; atomic for Stats).
@@ -106,9 +104,9 @@ type ReaderService struct {
 
 	verts atomic.Int64
 
-	queries, steps, transfers         atomic.Int64
-	localHits, viewReqs, launches     atomic.Int64
-	planFlips, broadcasts, relaunched atomic.Int64
+	queries, steps, transfers atomic.Int64
+	localHits, viewReqs       atomic.Int64
+	planFlips, broadcasts     atomic.Int64
 
 	evloop    sync.WaitGroup
 	closeOnce sync.Once
@@ -147,9 +145,9 @@ func NewReaderService(port fabric.ReadPort, cfg ReaderConfig) (*ReaderService, e
 		shards:  port.Shards(),
 		cfg:     cfg,
 		master:  xrand.New(cfg.Seed),
-		pending: map[uint64]func(*fabric.Walker){},
 		cacheOn: !cfg.Cache.Off,
 	}
+	r.walkers.init(port.LaunchWalker, r.planNow, r.tally)
 	r.appliedCond = sync.NewCond(&r.appliedMu)
 	r.rv = newRemoteViews(r.shards, cfg.Cache.RemoteSize, cfg.Cache.RequestAfter)
 	r.rv.ownerOf = func(v graph.VertexID) int { return r.planNow().Owner(v) }
@@ -219,7 +217,7 @@ func (r *ReaderService) eventLoop() {
 		}
 		switch ev.Kind {
 		case fabric.EvRetire:
-			r.onRetire(ev.Walker)
+			r.walkers.onRetire(ev.Walker)
 		case fabric.EvBroadcast:
 			r.applyBroadcast(ev.Bcast)
 		case fabric.EvView:
@@ -236,7 +234,10 @@ func (r *ReaderService) eventLoop() {
 // (duplicated per-daemon delivery and cross-link reordering are both
 // harmless). An epoch or dead-mask flip drops the whole view cache —
 // the conservative invalidation matching the shard nodes' failover rule;
-// migrations are additionally covered by the watermark advance.
+// migrations are additionally covered by the watermark advance. A
+// dead-mask flip also relaunches every pending walker from its spec, as
+// the write coordinator does on the same flip: a walker may be lost
+// inside the dead daemon.
 func (r *ReaderService) applyBroadcast(b *fabric.Broadcast) {
 	if b == nil || b.Seq < r.lastSeq.Load() {
 		return
@@ -262,6 +263,9 @@ func (r *ReaderService) applyBroadcast(b *fabric.Broadcast) {
 		readerPlanFlips.Inc()
 		r.rv.dropAll()
 	}
+	if next.DeadMask != old.DeadMask {
+		r.walkers.relaunchPending()
+	}
 	r.rv.advance(b.Watermarks)
 	if n := int64(b.Vertices); n > r.verts.Load() {
 		r.verts.Store(n)
@@ -274,80 +278,19 @@ func (r *ReaderService) applyBroadcast(b *fabric.Broadcast) {
 	r.appliedMu.Unlock()
 }
 
-// register installs a retire callback for walker id.
-func (r *ReaderService) register(id uint64, cb func(*fabric.Walker)) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dead {
-		return ErrFabricDown
+// tally folds a successfully retired walker's shard-served hops into the
+// reader's counters.
+func (r *ReaderService) tally(w *fabric.Walker) {
+	if !w.Failed {
+		r.steps.Add(w.Steps)
+		r.transfers.Add(w.Transfers)
 	}
-	r.pending[id] = cb
-	return nil
-}
-
-// resolve removes and returns walker id's callback (nil if already
-// resolved — duplicate retires after a relaunch resolve harmlessly).
-func (r *ReaderService) resolve(id uint64) func(*fabric.Walker) {
-	r.mu.Lock()
-	cb := r.pending[id]
-	delete(r.pending, id)
-	r.mu.Unlock()
-	return cb
-}
-
-func (r *ReaderService) onRetire(w *fabric.Walker) {
-	if w == nil {
-		return
-	}
-	if w.Failed && r.planNow().Replicas > 1 && w.Reroutes < maxWalkerReroutes {
-		// A hand-off hit a dead link mid-walk. The retire carries the
-		// walker's exact state; continue it on whatever replica the
-		// flipped plan names instead of failing the caller.
-		r.mu.Lock()
-		still := r.pending[w.ID] != nil
-		r.mu.Unlock()
-		if still {
-			w.Failed = false
-			w.Reroutes++
-			r.relaunched.Add(1)
-			go func() {
-				time.Sleep(rerouteBackoff(w.Reroutes))
-				r.relaunchWalker(w)
-			}()
-			return
-		}
-	}
-	if cb := r.resolve(w.ID); cb != nil {
-		cb(w)
-	}
-}
-
-// relaunchWalker retries launching toward the walker's vertex's current
-// owner — the broadcast carrying the plan flip races the launch, so
-// early attempts may still name the dead shard.
-func (r *ReaderService) relaunchWalker(w *fabric.Walker) {
-	for i := 0; i < 50; i++ {
-		if err := r.port.LaunchWalker(r.planNow().Owner(w.Cur), w); err == nil {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	w.Failed = true
-	w.Reroutes = maxWalkerReroutes
-	r.onRetire(w)
 }
 
 // failPending unblocks every caller still waiting when the event stream
 // ends, and fences later registrations.
 func (r *ReaderService) failPending() {
-	r.mu.Lock()
-	r.dead = true
-	pend := r.pending
-	r.pending = map[uint64]func(*fabric.Walker){}
-	r.mu.Unlock()
-	for _, cb := range pend {
-		cb(nil)
-	}
+	r.walkers.failPending()
 	r.appliedMu.Lock()
 	r.appliedEnd = true
 	r.appliedCond.Broadcast()
@@ -381,7 +324,7 @@ func (r *ReaderService) Query(start graph.VertexID, length int) ([]graph.VertexI
 	if obs.On() {
 		t0 = time.Now()
 	}
-	id := r.idSeq.Add(1)
+	id := r.walkers.nextID()
 	rng := r.master.Split(id)
 	path := make([]graph.VertexID, 1, length+1)
 	path[0] = start
@@ -412,36 +355,24 @@ func (r *ReaderService) Query(start graph.VertexID, length int) ([]graph.VertexI
 		return path, nil
 	}
 	r.maybeRequestView(cur)
-	wk := &fabric.Walker{
+	reply, err := r.walkers.start(&fabric.Walker{
 		ID:     id,
 		Cur:    cur,
 		Left:   left,
 		Rng:    rng.State(),
 		Record: true,
 		Path:   path,
-	}
-	reply := make(chan *fabric.Walker, 1)
-	if err := r.register(id, func(w *fabric.Walker) { reply <- w }); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	r.launches.Add(1)
-	if err := r.port.LaunchWalker(r.planNow().Owner(cur), wk); err != nil {
-		if r.planNow().Replicas > 1 {
-			// The target link died under the launch; retry toward
-			// whatever replica the flipped plan names.
-			go r.relaunchWalker(wk)
-		} else if cb := r.resolve(id); cb != nil {
-			return nil, err
-		}
-	}
-	w := <-reply
-	if w == nil || w.Failed {
-		return nil, ErrFabricDown
+	w, err := awaitWalker(reply)
+	if err != nil {
+		return nil, err
 	}
 	local := int64(length - left)
 	r.queries.Add(1)
-	r.steps.Add(w.Steps + local)
-	r.transfers.Add(w.Transfers)
+	r.steps.Add(local)
 	readerLocalHits.Add(local)
 	readerLaunches.Inc()
 	if !t0.IsZero() {
@@ -455,84 +386,7 @@ func (r *ReaderService) Query(start graph.VertexID, length int) ([]graph.VertexI
 // stream, exactly as on the write-coordinator, but retires route back
 // here. The write session keeps ingesting concurrently.
 func (r *ReaderService) DeepWalk(cfg Config) (Result, TransferStats, error) {
-	n := r.NumVertices()
-	cfg = cfg.withDefaults(n)
-	starts := cfg.Starts
-	if starts == nil {
-		starts = make([]graph.VertexID, n)
-		for i := range starts {
-			starts[i] = graph.VertexID(i)
-		}
-	}
-	var visits *visitCounter
-	if cfg.CountVisits {
-		visits = newVisitCounter(n)
-	}
-	bulkMaster := xrand.New(cfg.Seed)
-	var wg sync.WaitGroup
-	var steps, transfers, local, remote atomic.Int64
-	var failed atomic.Bool
-	var visMu sync.Mutex
-	replicated := r.planNow().Replicas > 1
-	for i, st := range starts {
-		id := r.idSeq.Add(1)
-		if visits != nil {
-			visits.bump(st)
-		}
-		wk := &fabric.Walker{
-			ID:     id,
-			Cur:    st,
-			Left:   cfg.Length,
-			Rng:    bulkMaster.Split(uint64(i)).State(),
-			Record: cfg.CountVisits,
-		}
-		wg.Add(1)
-		cb := func(w *fabric.Walker) {
-			if w == nil || w.Failed {
-				failed.Store(true)
-			} else {
-				steps.Add(w.Steps)
-				transfers.Add(w.Transfers)
-				local.Add(w.Local)
-				remote.Add(w.Remote)
-				if visits != nil {
-					visMu.Lock()
-					for _, v := range w.Path {
-						visits.bump(v)
-					}
-					visMu.Unlock()
-				}
-			}
-			wg.Done()
-		}
-		if err := r.register(id, cb); err != nil {
-			wg.Done()
-			failed.Store(true)
-			continue
-		}
-		r.launches.Add(1)
-		if err := r.port.LaunchWalker(r.planNow().Owner(st), wk); err != nil {
-			if replicated {
-				go r.relaunchWalker(wk)
-				continue
-			}
-			if cb := r.resolve(id); cb != nil {
-				failed.Store(true)
-				wg.Done()
-			}
-		}
-	}
-	wg.Wait()
-	r.steps.Add(steps.Load())
-	r.transfers.Add(transfers.Load())
-	if failed.Load() {
-		return Result{}, TransferStats{}, ErrFabricDown
-	}
-	res := Result{Walkers: len(starts), Steps: steps.Load()}
-	if visits != nil {
-		res.Visits = visits.snapshot()
-	}
-	return res, TransferStats{Transfers: transfers.Load(), Local: local.Load(), Remote: remote.Load()}, nil
+	return r.walkers.startBulk(cfg, r.NumVertices()).wait()
 }
 
 // Stats snapshots the reader's activity counters.
@@ -545,7 +399,7 @@ func (r *ReaderService) Stats() ReaderStats {
 		Steps:        r.steps.Load(),
 		Transfers:    r.transfers.Load(),
 		LocalHits:    r.localHits.Load(),
-		Launches:     r.launches.Load(),
+		Launches:     r.walkers.launches.Load(),
 		ViewRequests: r.viewReqs.Load(),
 		CachedViews:  cached,
 		PlanEpoch:    r.planNow().Epoch,

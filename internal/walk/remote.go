@@ -133,7 +133,8 @@ func (s *RemoteService) Sync() error { return s.coord.Sync() }
 func (s *RemoteService) AppliedStamp() int64 { return s.coord.appliedStamp() }
 
 // DeepWalk runs a bulk first-order walk across the shard daemons while
-// the feed keeps ingesting.
+// the feed keeps ingesting. It returns ErrFabricDown if any walker failed
+// or the session ended mid-run.
 func (s *RemoteService) DeepWalk(cfg Config) (Result, TransferStats, error) {
 	return s.coord.DeepWalk(cfg, s.NumVertices())
 }

@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/graph"
-	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
 // TestShardPlanOwnerTotal pins the block-cyclic ownership contract: inside
@@ -46,118 +44,5 @@ func TestShardPlanOwnerTotal(t *testing.T) {
 	}
 	if p := NewShardPlan(10, 0); p.Shards != 1 {
 		t.Fatalf("zero-shard plan Shards = %d, want 1", p.Shards)
-	}
-}
-
-// ringGraph builds the directed cycle 0→1→…→n-1→0 (every vertex degree 1,
-// so walks are fully deterministic).
-func ringGraph(t *testing.T, n int) *core.Sampler {
-	t.Helper()
-	s, err := core.New(n, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := s.Insert(graph.VertexID(i), graph.VertexID((i+1)%n), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
-// TestShardedDeepWalkTransfersPinned pins TransferStats.Transfers on a
-// deterministic topology: a 10-ring split in two (0–4 / 5–9), walked from
-// vertex 0. A finished walker must retire locally — before the fix, a walk
-// whose final hop crossed the boundary was still forwarded, inflating
-// Transfers and paying a pointless queue hop.
-func TestShardedDeepWalkTransfersPinned(t *testing.T) {
-	s := ringGraph(t, 10)
-	sh := NewSharded(s, 2)
-
-	cases := []struct {
-		length                  int
-		transfers, local, steps int64
-	}{
-		// 10 hops from 0 visit 1..9,0: crossing into shard 1 at hop 5
-		// transfers; the hop-10 crossing back to vertex 0 is the final hop
-		// and retires locally.
-		{length: 10, transfers: 1, local: 9, steps: 10},
-		// 12 hops: both crossings (hop 5 and hop 10) mid-walk transfer.
-		{length: 12, transfers: 2, local: 10, steps: 12},
-		// 5 hops: the single crossing is the final hop — zero transfers.
-		{length: 5, transfers: 0, local: 5, steps: 5},
-	}
-	for _, tc := range cases {
-		res, stats := sh.DeepWalk(Config{Length: tc.length, Starts: []graph.VertexID{0}, Seed: 3})
-		if res.Steps != tc.steps {
-			t.Errorf("length %d: steps = %d, want %d", tc.length, res.Steps, tc.steps)
-		}
-		if stats.Transfers != tc.transfers || stats.Local != tc.local {
-			t.Errorf("length %d: transfers/local = %d/%d, want %d/%d",
-				tc.length, stats.Transfers, stats.Local, tc.transfers, tc.local)
-		}
-	}
-}
-
-// grownEngine models a live engine whose vertex space grew after the
-// Sharded wrapper was constructed: it reports the stale pre-growth size but
-// walks lead well beyond it. Sampling walks the fixed chain u→u+stride.
-type grownEngine struct {
-	reported int // stale NumVertices
-	limit    int // walks dead-end here
-	stride   int
-}
-
-func (g grownEngine) Sample(u graph.VertexID, _ *xrand.RNG) (graph.VertexID, bool) {
-	next := int(u) + g.stride
-	if next >= g.limit {
-		return 0, false
-	}
-	return graph.VertexID(next), true
-}
-func (g grownEngine) Degree(u graph.VertexID) int {
-	if int(u)+g.stride >= g.limit {
-		return 0
-	}
-	return 1
-}
-func (g grownEngine) HasEdge(u, dst graph.VertexID) bool {
-	return int(dst) == int(u)+g.stride && int(dst) < g.limit
-}
-func (g grownEngine) NumVertices() int { return g.reported }
-
-// TestShardedVisitsBeyondInitialSpace covers the frozen-size family of
-// bugs end to end: the visits tally and the owner computation must both
-// survive walks onto vertices beyond the engine size the wrapper saw at
-// construction (index-out-of-range panics before the fix).
-func TestShardedVisitsBeyondInitialSpace(t *testing.T) {
-	e := grownEngine{reported: 8, limit: 200, stride: 7}
-	sh := NewSharded(e, 4) // rangeSize 2: vertices ≥ 8 used to owner-overflow
-	res, stats := sh.DeepWalk(Config{
-		Length:      40,
-		Starts:      []graph.VertexID{0, 1, 2, 3},
-		Seed:        11,
-		CountVisits: true,
-	})
-	// Each walk 0..3 + 7k dead-ends just below 200: 28 hops from 0/1/2/3.
-	wantSteps := int64(4 * 28)
-	if res.Steps != wantSteps {
-		t.Fatalf("steps = %d, want %d", res.Steps, wantSteps)
-	}
-	if stats.Transfers == 0 {
-		t.Fatal("stride-7 chains over rangeSize-2 shards must transfer")
-	}
-	if len(res.Visits) < 198 {
-		t.Fatalf("visits tally stopped at %d entries, want growth past 197", len(res.Visits))
-	}
-	// The tally must hold exactly the visited chains: v ≡ start (mod 7).
-	for v, c := range res.Visits {
-		want := int64(0)
-		if v%7 <= 3 && v < 200 {
-			want = 1
-		}
-		if c != want {
-			t.Fatalf("visits[%d] = %d, want %d", v, c, want)
-		}
 	}
 }

@@ -299,7 +299,8 @@ func (s *ShardedLiveService) Sync() error {
 // DeepWalk runs a bulk first-order walk through the sharded runtime while
 // the feed keeps ingesting: every start becomes a transferable walker with
 // its own RNG stream. It returns the run's own result and transfer stats
-// (service counters accumulate them too).
+// (service counters accumulate them too), or ErrFabricDown if any walker
+// failed or the fabric session ended mid-run.
 func (s *ShardedLiveService) DeepWalk(cfg Config) (Result, TransferStats, error) {
 	return s.coord.DeepWalk(cfg, s.NumVertices())
 }

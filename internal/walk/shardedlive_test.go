@@ -6,8 +6,10 @@ import (
 
 	"github.com/bingo-rw/bingo/internal/concurrent"
 	"github.com/bingo-rw/bingo/internal/core"
+	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/walk"
+	"github.com/bingo-rw/bingo/internal/xrand"
 )
 
 // newShardEngines builds empty concurrent engines for a plan, each sized
@@ -207,62 +209,113 @@ func TestShardedLiveBulkDeepWalk(t *testing.T) {
 	}
 }
 
-// TestShardedOwnerGrowthMidWalk is the owner-overflow regression on the
-// demo kernel: a Sharded wrapper over a live concurrent engine must
-// survive the vertex space growing underneath it mid-walk. Before the
-// block-cyclic fix, the first walker to step onto a grown vertex computed
-// an owner ≥ shards and panicked on the inbox index.
-func TestShardedOwnerGrowthMidWalk(t *testing.T) {
-	const n0 = 64
-	e, err := concurrent.New(n0, core.DefaultConfig(), concurrent.Config{})
+// TestShardedDeepWalkTransfersPinned pins TransferStats on a
+// deterministic topology: a 10-ring split in two (0–4 / 5–9), walked from
+// vertex 0 with the hub-view caches off. A finished walker must retire
+// where it is: a walk whose final hop crosses the boundary pays no
+// hand-off. Local counts every hop sampled by its vertex's owner, so with
+// no cached remote views it equals Steps.
+func TestShardedDeepWalkTransfersPinned(t *testing.T) {
+	svc, _ := ringShardService(t, 10, 2, walk.ShardedLiveConfig{WalkersPerShard: 1, Cache: fabric.CacheSpec{Off: true}})
+	defer svc.Close()
+
+	cases := []struct {
+		length                  int
+		transfers, local, steps int64
+	}{
+		// 10 hops from 0 visit 1..9,0: crossing into shard 1 at hop 5
+		// transfers; the hop-10 crossing back to vertex 0 is the final hop
+		// and retires locally.
+		{length: 10, transfers: 1, local: 10, steps: 10},
+		// 12 hops: both crossings (hop 5 and hop 10) mid-walk transfer.
+		{length: 12, transfers: 2, local: 12, steps: 12},
+		// 5 hops: the single crossing is the final hop — zero transfers.
+		{length: 5, transfers: 0, local: 5, steps: 5},
+	}
+	for _, tc := range cases {
+		res, stats, err := svc.DeepWalk(walk.Config{Length: tc.length, Starts: []graph.VertexID{0}, Seed: 3})
+		if err != nil {
+			t.Fatalf("length %d: DeepWalk: %v", tc.length, err)
+		}
+		if res.Steps != tc.steps {
+			t.Errorf("length %d: steps = %d, want %d", tc.length, res.Steps, tc.steps)
+		}
+		if stats.Transfers != tc.transfers || stats.Local != tc.local || stats.Remote != 0 {
+			t.Errorf("length %d: transfers/local/remote = %d/%d/%d, want %d/%d/0",
+				tc.length, stats.Transfers, stats.Local, stats.Remote, tc.transfers, tc.local)
+		}
+	}
+}
+
+// grownEngine models a shard engine whose vertex space grew past the
+// size the service saw at construction: it reports the stale pre-growth
+// size but walks lead well beyond it. Sampling walks the fixed chain
+// u→u+stride; updates are ignored.
+type grownEngine struct {
+	reported int // stale NumVertices
+	limit    int // walks dead-end here
+	stride   int
+}
+
+func (g grownEngine) Sample(u graph.VertexID, _ *xrand.RNG) (graph.VertexID, bool) {
+	next := int(u) + g.stride
+	if next >= g.limit {
+		return 0, false
+	}
+	return graph.VertexID(next), true
+}
+func (g grownEngine) Degree(u graph.VertexID) int {
+	if int(u)+g.stride >= g.limit {
+		return 0
+	}
+	return 1
+}
+func (g grownEngine) HasEdge(u, dst graph.VertexID) bool {
+	return int(dst) == int(u)+g.stride && int(dst) < g.limit
+}
+func (g grownEngine) NumVertices() int                    { return g.reported }
+func (g grownEngine) ApplyUpdates(_ []graph.Update) error { return nil }
+
+// TestShardedVisitsBeyondInitialSpace covers the frozen-size family of
+// bugs end to end: the visits tally and the owner computation must both
+// survive walks onto vertices beyond the vertex space DeepWalk sized them
+// for (index-out-of-range panics before the fix).
+func TestShardedVisitsBeyondInitialSpace(t *testing.T) {
+	e := grownEngine{reported: 8, limit: 200, stride: 7}
+	plan := walk.NewShardPlan(8, 4) // rangeSize 2: vertices ≥ 8 used to owner-overflow
+	svc, err := walk.NewShardedLiveService([]walk.LiveEngine{e, e, e, e}, plan, walk.ShardedLiveConfig{WalkersPerShard: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n0; i++ {
-		if err := e.Insert(graph.VertexID(i), graph.VertexID((i+1)%n0), 1); err != nil {
-			t.Fatal(err)
-		}
+	defer svc.Close()
+	res, stats, err := svc.DeepWalk(walk.Config{
+		Length:      40,
+		Starts:      []graph.VertexID{0, 1, 2, 3},
+		Seed:        11,
+		CountVisits: true,
+	})
+	if err != nil {
+		t.Fatalf("DeepWalk: %v", err)
 	}
-	sh := walk.NewSharded(e, 4) // geometry frozen at 64 vertices
-
-	done := make(chan struct{})
-	var feeder sync.WaitGroup
-	feeder.Add(1)
-	go func() {
-		defer feeder.Done()
-		defer close(done) // also on error paths, or the walk loop spins forever
-		// Grow the space past 4× the construction-time size and wire the
-		// grown region into the ring so walkers actually reach it.
-		for big := graph.VertexID(n0); big < 40*n0; big += 16 {
-			if err := e.Insert(big%n0, big, 1_000_000); err != nil {
-				t.Errorf("growth insert: %v", err)
-				return
-			}
-			if err := e.Insert(big, (big+1)%n0, 1); err != nil {
-				t.Errorf("growth insert: %v", err)
-				return
-			}
+	// Each walk 0..3 + 7k dead-ends just below 200: 28 hops from 0/1/2/3.
+	wantSteps := int64(4 * 28)
+	if res.Steps != wantSteps {
+		t.Fatalf("steps = %d, want %d", res.Steps, wantSteps)
+	}
+	if stats.Transfers == 0 {
+		t.Fatal("stride-7 chains over rangeSize-2 shards must transfer")
+	}
+	if len(res.Visits) < 198 {
+		t.Fatalf("visits tally stopped at %d entries, want growth past 197", len(res.Visits))
+	}
+	// The tally must hold exactly the visited chains: v ≡ start (mod 7).
+	for v, c := range res.Visits {
+		want := int64(0)
+		if v%7 <= 3 && v < 200 {
+			want = 1
 		}
-	}()
-
-	for round := 0; ; round++ {
-		res, _ := sh.DeepWalk(walk.Config{Length: 16, Seed: uint64(round), CountVisits: true})
-		if res.Steps == 0 {
-			t.Fatal("walks made no progress")
-		}
-		select {
-		case <-done:
-			feeder.Wait()
-			// One final pass over the fully grown graph.
-			res, stats := sh.DeepWalk(walk.Config{Length: 16, Seed: 99, CountVisits: true})
-			if res.Steps == 0 || stats.Transfers == 0 {
-				t.Fatalf("post-growth walk: %d steps, %d transfers", res.Steps, stats.Transfers)
-			}
-			if e.NumVertices() <= n0 {
-				t.Fatal("engine never grew — regression test is vacuous")
-			}
-			return
-		default:
+		if c != want {
+			t.Fatalf("visits[%d] = %d, want %d", v, c, want)
 		}
 	}
 }

@@ -114,12 +114,13 @@ type Result struct {
 	Visits []int64
 }
 
-// starts materializes the configured start set.
-func startsOf(e Engine, cfg Config) []graph.VertexID {
+// starts materializes the configured start set over a vertex space of n
+// (every vertex when Config.Starts is nil).
+func startsOf(n int, cfg Config) []graph.VertexID {
 	if cfg.Starts != nil {
 		return cfg.Starts
 	}
-	all := make([]graph.VertexID, e.NumVertices())
+	all := make([]graph.VertexID, n)
 	for i := range all {
 		all[i] = graph.VertexID(i)
 	}
@@ -130,7 +131,7 @@ func startsOf(e Engine, cfg Config) []graph.VertexID {
 // master.Split(walkerIndex), so results are independent of worker count.
 func runParallel(e Engine, cfg Config, walk func(start graph.VertexID, r *xrand.RNG, visits []int64) int64) Result {
 	cfg = cfg.withDefaults(e.NumVertices())
-	starts := startsOf(e, cfg)
+	starts := startsOf(e.NumVertices(), cfg)
 	var visits []int64
 	if cfg.CountVisits {
 		visits = make([]int64, e.NumVertices())
@@ -216,7 +217,7 @@ func DeepWalk(e Engine, cfg Config) Result {
 // slots from the range so the frontier stays dense; walker i draws from
 // stream master.Split(i) exactly as the sparse runner assigns them.
 func deepWalkFrontier(e Engine, cfg Config) Result {
-	starts := startsOf(e, cfg)
+	starts := startsOf(e.NumVertices(), cfg)
 	var visits []int64
 	if cfg.CountVisits {
 		visits = make([]int64, e.NumVertices())
@@ -425,7 +426,7 @@ func SimpleSampling(e Engine, cfg Config) Result {
 // kernel runs single-threaded; use DeepWalk for throughput measurements.
 func DeepWalkPaths(e Engine, cfg Config, emit func(path []graph.VertexID)) Result {
 	cfg = cfg.withDefaults(e.NumVertices())
-	starts := startsOf(e, cfg)
+	starts := startsOf(e.NumVertices(), cfg)
 	master := xrand.New(cfg.Seed)
 	res := Result{Walkers: len(starts)}
 	buf := make([]graph.VertexID, 0, cfg.Length+1)
