@@ -25,19 +25,23 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./internal/concurrent/ ./internal/core/ ./internal/walk/ ./internal/fabric/tcpgob/
 
+# bench writes no report files; record artifacts with
+# `bingobench -exp ... -out DIR` at a pinned config.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) run ./cmd/bingobench -exp concurrent -scale 0.002 -json BENCH_concurrent.json
+	$(GO) run ./cmd/bingobench -exp concurrent -scale 0.002
 
 # Tiny-scale pass over the JSON-emitting serving scenarios — the CI smoke
 # step. Verifies the runners execute end to end and the BENCH_*.json
-# reports appear; absolute numbers at this scale are meaningless.
+# reports appear; absolute numbers at this scale are meaningless, so the
+# reports go to $$BENCH_OUT (default: a fresh temp dir), never over the
+# committed artifacts.
 bench-smoke:
+	out="$${BENCH_OUT:-$$(mktemp -d)}"; \
 	$(GO) run ./cmd/bingobench -exp concurrent,sharded,rebalance,backpressure,corpus,coordscale -datasets AM -scale 0.002 -walkers 500 -workers 2 \
-		-kernel-modes sparse,dense,auto -procs 1,4 \
-		-json BENCH_concurrent.json -json-sharded BENCH_sharded.json -json-rebalance BENCH_rebalance.json \
-		-json-backpressure BENCH_backpressure.json -json-corpus BENCH_corpus.json -json-coordscale BENCH_coordscale.json
-	test -s BENCH_concurrent.json && test -s BENCH_sharded.json && test -s BENCH_rebalance.json && test -s BENCH_backpressure.json && test -s BENCH_corpus.json && test -s BENCH_coordscale.json
+		-kernel-modes sparse,dense,auto -procs 1,4 -out "$$out" && \
+	for s in concurrent sharded rebalance backpressure corpus coordscale; do test -s "$$out/BENCH_$$s.json" || exit 1; done && \
+	echo "bench-smoke reports in $$out"
 
 # Multi-process serving smoke: spawns shard daemons (real bingowalk
 # -shard-serve processes) on loopback, drives queries plus a
@@ -93,5 +97,7 @@ obs-smoke:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSamplerMutate -fuzztime 30s ./internal/core/
 
+# The committed BENCH_*.json artifacts are source, not build output;
+# clean removes only what building and benchmarking leave behind.
 clean:
-	rm -f BENCH_concurrent.json BENCH_sharded.json BENCH_rebalance.json BENCH_backpressure.json BENCH_corpus.json BENCH_coordscale.json
+	rm -rf .bench_build

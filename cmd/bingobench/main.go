@@ -6,6 +6,7 @@
 //
 //	bingobench -exp table3
 //	bingobench -exp fig12 -datasets AM,GO -scale 0.005
+//	bingobench -exp concurrent,sharded -out reports
 //	bingobench -list
 package main
 
@@ -35,16 +36,11 @@ func main() {
 		datasets = flag.String("datasets", "", "comma-separated dataset abbrs (default all: AM,GO,CT,LJ,TW)")
 		systems  = flag.String("systems", "", "comma-separated systems for table3 (default Bingo,KnightKing,RebuildITS,FlowWalker)")
 		apps     = flag.String("apps", "", "comma-separated apps for table3 (default DeepWalk,node2vec,PPR)")
-		jsonPath = flag.String("json", "BENCH_concurrent.json", "output path for the concurrent scenario's JSON report ('' disables)")
+		outDir   = flag.String("out", "", "directory for the serving scenarios' BENCH_<scenario>.json reports ('' writes none)")
 		transp   = flag.String("transports", "", "comma-separated sharded-scenario transports (default inproc,tcp)")
 		cacheM   = flag.String("cache-modes", "", "comma-separated sharded-scenario hub-cache modes (default on,off)")
 		kernelM  = flag.String("kernel-modes", "", "comma-separated stepping-kernel modes for the concurrent/sharded scenarios (default sparse,dense,auto)")
 		procsF   = flag.String("procs", "", "comma-separated GOMAXPROCS sweep for the kernel dimension (default 1,4)")
-		jsonSh   = flag.String("json-sharded", "BENCH_sharded.json", "output path for the sharded scenario's JSON report ('' disables)")
-		jsonReb  = flag.String("json-rebalance", "BENCH_rebalance.json", "output path for the rebalance scenario's JSON report ('' disables)")
-		jsonBp   = flag.String("json-backpressure", "BENCH_backpressure.json", "output path for the backpressure scenario's JSON report ('' disables)")
-		jsonCo   = flag.String("json-corpus", "BENCH_corpus.json", "output path for the corpus scenario's JSON report ('' disables)")
-		jsonCs   = flag.String("json-coordscale", "BENCH_coordscale.json", "output path for the coordscale scenario's JSON report ('' disables)")
 		verbose  = flag.Bool("v", false, "progress output")
 		debugA   = flag.String("debug-addr", "", "expose the observability plane (/metrics, /statusz, /eventz, /debug/pprof) while experiments run")
 		pprofA   = flag.String("pprof", "", "alias for -debug-addr (kept for compatibility)")
@@ -93,12 +89,7 @@ func main() {
 	o.Datasets = split(*datasets)
 	o.Systems = split(*systems)
 	o.Apps = split(*apps)
-	o.JSONPath = *jsonPath
-	o.ShardedJSONPath = *jsonSh
-	o.RebalanceJSONPath = *jsonReb
-	o.BackpressureJSONPath = *jsonBp
-	o.CorpusJSONPath = *jsonCo
-	o.CoordScaleJSONPath = *jsonCs
+	o.OutDir = *outDir
 	o.Transports = split(*transp)
 	o.CacheModes = split(*cacheM)
 	o.KernelModes = split(*kernelM)

@@ -403,9 +403,9 @@ func statsLoop(interval time.Duration, stop <-chan struct{}, done *sync.WaitGrou
 }
 
 // liveServer abstracts the serving runtimes the -live mode can drive:
-// the single-engine LiveService, the sharded walker-transfer service,
-// the remote multi-process coordinator, and the standing walk corpus
-// wrapping any of them.
+// the single-engine LiveService, the sharded walker-transfer service
+// (in-process shards or daemons behind the TCP fabric), and the standing
+// walk corpus wrapping either.
 type liveServer interface {
 	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
 	Feed(ups []graph.Update) error
@@ -478,7 +478,6 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	var svc liveServer
 	var single *concurrent.Engine
 	var sharded *walk.ShardedLiveService
-	var remote *walk.RemoteService
 	var corpus *walk.CorpusService
 	var shardEngines []*concurrent.Engine
 	if connect != "" {
@@ -497,22 +496,15 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		if err != nil {
 			return err
 		}
-		remote, err = walk.NewRemoteService(port, plan, w.Initial.NumVertices(), walk.ShardedLiveConfig{
+		sharded, err = walk.NewShardedLiveServiceOver(port, plan, w.Initial.NumVertices(), walk.ShardedLiveConfig{
 			WalkLength: length, Seed: seed, Rebalance: rebOpts,
 			CreditWindow: creditWin,
 		})
 		if err != nil {
 			return err
 		}
-		if err := remote.Bootstrap(w.Initial); err != nil {
+		if err := sharded.Bootstrap(w.Initial); err != nil {
 			return fmt.Errorf("bootstrap: %w", err)
-		}
-		svc = remote
-		if co.on {
-			if corpus, err = walk.NewShardedCorpusService(remote, w.Initial.NumVertices(), ccfg); err != nil {
-				return err
-			}
-			svc = corpus
 		}
 		fmt.Printf("live: %d shard daemons over the TCP fabric (range size %d), feeding %d updates in batches of %d\n",
 			plan.Shards, plan.RangeSize, len(w.Updates), batchSize)
@@ -542,13 +534,6 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		if err != nil {
 			return err
 		}
-		svc = sharded
-		if co.on {
-			if corpus, err = walk.NewShardedCorpusService(sharded, w.Initial.NumVertices(), ccfg); err != nil {
-				return err
-			}
-			svc = corpus
-		}
 		fmt.Printf("live: %d shards × %d crew walkers (range size %d), feeding %d updates in batches of %d\n",
 			plan.Shards, workers, plan.RangeSize, len(w.Updates), batchSize)
 	} else {
@@ -568,6 +553,15 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 		fmt.Printf("live: %d pool walkers, %d lock stripes, feeding %d updates in batches of %d\n",
 			workers, single.Stripes(), len(w.Updates), batchSize)
 	}
+	if sharded != nil {
+		svc = sharded
+		if co.on {
+			if corpus, err = walk.NewShardedCorpusService(sharded, w.Initial.NumVertices(), ccfg); err != nil {
+				return err
+			}
+			svc = corpus
+		}
+	}
 	if corpus != nil {
 		fmt.Printf("corpus: %d standing walks grown (length %d), refresh loop running\n",
 			corpus.Stats().Walks, length)
@@ -575,15 +569,10 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 
 	// /statusz sections: each runtime in play exposes its structured
 	// stats snapshot beside the registry.
-	switch {
-	case remote != nil:
-		obs.RegisterStatus("remote", func() any { return remote.Stats() })
-	case sharded != nil:
+	if sharded != nil {
 		obs.RegisterStatus("sharded", func() any { return sharded.Stats() })
-	default:
-		if lsvc, ok := svc.(*walk.LiveService); ok {
-			obs.RegisterStatus("live", func() any { return lsvc.Stats() })
-		}
+	} else if lsvc, ok := svc.(*walk.LiveService); ok {
+		obs.RegisterStatus("live", func() any { return lsvc.Stats() })
 	}
 	if corpus != nil {
 		obs.RegisterStatus("corpus", func() any { return corpus.Stats() })
@@ -631,10 +620,10 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	}
 	clients.Wait()
 	feeder.Wait()
-	if remote != nil {
+	if sharded != nil {
 		// Final barrier so the session's ingest tallies are exact before
-		// the stats snapshot.
-		if err := remote.Sync(); err != nil {
+		// the stats snapshot (daemon shards report them through acks).
+		if err := sharded.Sync(); err != nil {
 			return err
 		}
 	}
@@ -651,13 +640,12 @@ func runLive(graphPath, dataset string, scale float64, seed uint64, length, upda
 	if corpus != nil {
 		printCorpus(corpus, d, co.stats)
 	}
-	if remote != nil {
-		printServing(remote.Stats(), d)
-		fmt.Printf("final graph: %d vertices across %d shard daemons\n", remote.NumVertices(), remote.Shards())
-		return nil
-	}
 	if sharded != nil {
 		printServing(sharded.Stats(), d)
+		if shardEngines == nil {
+			fmt.Printf("final graph: %d vertices across %d shard daemons\n", sharded.NumVertices(), sharded.Shards())
+			return nil
+		}
 		var edges, mem int64
 		for _, e := range shardEngines {
 			edges += e.NumEdges()

@@ -127,11 +127,7 @@ func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error)
 		if err != nil {
 			return nil, err
 		}
-		ce := concurrent.Wrap(s, concurrent.Config{
-			Stripes:        o.Concurrency.Stripes,
-			MaxStepRetries: o.Concurrency.MaxStepRetries,
-			Workers:        o.Concurrency.Workers,
-		})
+		ce := concurrent.Wrap(s, o.Concurrency.internal())
 		corpus, err := walk.NewCorpusService(ce, cfg)
 		if err != nil {
 			return nil, err
@@ -139,17 +135,7 @@ func (e *Engine) ServeCorpus(shards int, o CorpusOptions) (*CorpusWalker, error)
 		return &CorpusWalker{corpus: corpus, floatMode: floatMode}, nil
 	}
 	plan := walk.NewShardPlan(g.NumVertices(), shards)
-	engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
-		s, err := core.New(g.NumVertices(), e.s.Config())
-		if err != nil {
-			return nil, err
-		}
-		return concurrent.Wrap(s, concurrent.Config{
-			Stripes:        o.Concurrency.Stripes,
-			MaxStepRetries: o.Concurrency.MaxStepRetries,
-			Workers:        o.Concurrency.Workers,
-		}), nil
-	})
+	engines, err := e.shardEngines(g, plan, o.Concurrency)
 	if err != nil {
 		return nil, err
 	}

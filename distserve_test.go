@@ -10,7 +10,8 @@
 //
 // This file is an internal test (package bingo) so it can read the
 // daemons' edge multisets back through the fabric's dump barrier
-// (RemoteWalker's unexported service) without widening the public API.
+// (ShardedLiveWalker's unexported service) without widening the public
+// API.
 package bingo
 
 import (

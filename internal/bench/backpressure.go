@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -94,17 +92,7 @@ func runBackpressure(o *Options) error {
 	}
 	tbl.flush()
 
-	if o.BackpressureJSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.BackpressureJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.BackpressureJSONPath)
-	}
-	return nil
+	return o.writeReport("BENCH_backpressure.json", &rep)
 }
 
 // backpressureCell runs one window setting over a fresh chaos fabric:
@@ -128,7 +116,7 @@ func backpressureCell(o *Options, window int) (BackpressureSeries, error) {
 			walk.RunShardNode(e, plan, shard, fab.ShardPort(shard), 1, fabric.CacheSpec{}, walk.KernelAuto) //nolint:errcheck // session errors surface via svc
 		}(i, concurrent.Wrap(s, concurrent.Config{}))
 	}
-	svc, err := walk.NewRemoteService(fab.CoordPort(), plan, backpressureVerts, walk.ShardedLiveConfig{
+	svc, err := walk.NewShardedLiveServiceOver(fab.CoordPort(), plan, backpressureVerts, walk.ShardedLiveConfig{
 		WalkLength: 4,
 		Seed:       o.Seed,
 		// A shallow feed queue keeps the run-ahead bound at the credit

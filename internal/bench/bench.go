@@ -12,8 +12,11 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -56,25 +59,10 @@ type Options struct {
 	Apps []string
 	// Out receives the report (required).
 	Out io.Writer
-	// JSONPath, when non-empty, is where the concurrent scenario writes
-	// its machine-readable BENCH_concurrent.json report.
-	JSONPath string
-	// ShardedJSONPath, when non-empty, is where the sharded scenario
-	// writes its machine-readable BENCH_sharded.json report.
-	ShardedJSONPath string
-	// RebalanceJSONPath, when non-empty, is where the rebalance scenario
-	// writes its machine-readable BENCH_rebalance.json report.
-	RebalanceJSONPath string
-	// BackpressureJSONPath, when non-empty, is where the backpressure
-	// scenario writes its machine-readable BENCH_backpressure.json
-	// report.
-	BackpressureJSONPath string
-	// CorpusJSONPath, when non-empty, is where the corpus scenario
-	// writes its machine-readable BENCH_corpus.json report.
-	CorpusJSONPath string
-	// CoordScaleJSONPath, when non-empty, is where the coordscale
-	// scenario writes its machine-readable BENCH_coordscale.json report.
-	CoordScaleJSONPath string
+	// OutDir, when non-empty, is the directory the serving scenarios
+	// write their machine-readable BENCH_<scenario>.json reports to
+	// (created if missing). Empty writes no files.
+	OutDir string
 	// Transports filters the sharded scenario's transport dimension:
 	// "inproc" (in-process fabric) and/or "tcp" (loopback tcpgob fabric).
 	// Nil means both.
@@ -323,6 +311,27 @@ func (o *Options) newEngine(system string, g *graph.CSR) (walk.Dynamic, error) {
 	default:
 		return nil, fmt.Errorf("bench: unknown system %q", system)
 	}
+}
+
+// writeReport writes rep as indented JSON to OutDir/name; it is a no-op
+// when OutDir is empty.
+func (o *Options) writeReport(name string, rep any) error {
+	if o.OutDir == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(o.OutDir, name)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(o.Out, "wrote %s\n", path)
+	return nil
 }
 
 func (o *Options) logf(format string, args ...any) {

@@ -143,11 +143,11 @@ func TestConcurrentScenarioWritesJSON(t *testing.T) {
 	// full default grid is exercised by the committed artifacts.
 	o.KernelModes = []string{"sparse", "dense"}
 	o.Procs = []int{1}
-	o.JSONPath = filepath.Join(t.TempDir(), "BENCH_concurrent.json")
+	o.OutDir = filepath.Join(t.TempDir(), "reports") // created by the run
 	if err := Run("concurrent", o); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(o.JSONPath)
+	data, err := os.ReadFile(filepath.Join(o.OutDir, "BENCH_concurrent.json"))
 	if err != nil {
 		t.Fatalf("JSON report not written: %v", err)
 	}

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -208,17 +206,7 @@ func runConcurrent(o *Options) error {
 	fmt.Fprintf(o.Out, "obs overhead (%s/%s, %d procs): %.0f steps/s metrics-on vs %.0f metrics-off (%+.2f%%)\n",
 		obsRow.Workload, obsRow.Kernel, obsRow.Procs, obsRow.StepsPerSecOn, obsRow.StepsPerSecOff, obsRow.OverheadPct)
 
-	if o.JSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.JSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.JSONPath)
-	}
-	return nil
+	return o.writeReport("BENCH_concurrent.json", &rep)
 }
 
 // concurrentObsDelta measures the metrics-on vs metrics-off steps/s

@@ -1,16 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/bingo-rw/bingo/internal/concurrent"
-	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
 	"github.com/bingo-rw/bingo/internal/graph"
@@ -140,109 +136,42 @@ func newCoordCell(o *Options, g *graph.CSR, transport string, readers int) (*coo
 	spec := coordSpec()
 	rcfg := walk.ReaderConfig{WalkLength: o.WalkLength, Seed: o.Seed ^ 0xead, Cache: spec}
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: 2, WalkLength: o.WalkLength, Seed: o.Seed, Cache: spec}
-	plan := walk.NewShardPlan(g.NumVertices(), coordShards)
-	switch transport {
-	case "inproc":
-		engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
-			s, err := core.New(g.NumVertices(), o.bingoConfig())
-			if err != nil {
-				return nil, err
-			}
-			return concurrent.Wrap(s, concurrent.Config{}), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		svc, err := walk.NewShardedLiveService(engines, plan, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cell := &coordCell{}
-		for i := 0; i < readers; i++ {
-			rd, err := svc.AttachReader(rcfg)
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			cell.readers = append(cell.readers, rd)
-		}
-		cell.close = func() {
-			for _, rd := range cell.readers {
-				rd.Close()
-			}
-			svc.Close()
-		}
-		return cell, nil
-	case "tcp":
-		listeners := make([]*tcpgob.Listener, coordShards)
-		addrs := make([]string, coordShards)
-		for i := 0; i < coordShards; i++ {
-			l, err := tcpgob.Listen("127.0.0.1:0", i, coordShards)
-			if err != nil {
-				return nil, err
-			}
-			listeners[i] = l
-			addrs[i] = l.Addr().String()
-		}
-		for i := 0; i < coordShards; i++ {
-			go func(i int) {
-				defer listeners[i].Close()
-				sc, hello, err := listeners[i].Accept()
-				if err != nil {
-					return
-				}
-				s, err := core.New(hello.NumVertices, o.bingoConfig())
-				if err != nil {
-					sc.Close()
-					return
-				}
-				e := concurrent.Wrap(s, concurrent.Config{})
-				nodePlan := walk.ShardPlan{Shards: hello.Shards, RangeSize: hello.RangeSize}
-				walk.RunShardNode(e, nodePlan, i, sc, 2, hello.Cache, walk.KernelAuto)
-			}(i)
-		}
-		port, err := tcpgob.Dial(addrs, fabric.Hello{
-			RangeSize:   plan.RangeSize,
-			NumVertices: g.NumVertices(),
-			Cache:       spec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		svc, err := walk.NewRemoteService(port, plan, g.NumVertices(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.Bootstrap(g); err != nil {
-			svc.Close()
-			return nil, err
-		}
-		cell := &coordCell{}
-		for i := 0; i < readers; i++ {
-			rp, err := tcpgob.DialReader(addrs, fabric.Hello{})
-			if err != nil {
-				cell.teardown(svc.Close)
-				return nil, err
-			}
-			rd, err := walk.NewRemoteReader(rp, rcfg)
-			if err != nil {
-				cell.teardown(svc.Close)
-				return nil, err
-			}
-			cell.readers = append(cell.readers, rd)
-		}
-		cell.close = func() { cell.teardown(svc.Close) }
-		return cell, nil
-	default:
-		return nil, fmt.Errorf("bench: unknown transport %q", transport)
+	var (
+		svc   *walk.ShardedLiveService
+		addrs []string // tcp only: where readers dial
+		err   error
+	)
+	if transport == "tcp" {
+		svc, addrs, err = newLoopbackService(o, g, spec, coordShards, 2, cfg)
+	} else {
+		svc, err = newShardedServiceWithConfig(o, g, transport, spec, coordShards, 2, cfg)
 	}
-}
-
-func (c *coordCell) teardown(write func() error) {
-	for _, rd := range c.readers {
-		rd.Close()
+	if err != nil {
+		return nil, err
 	}
-	write()
+	cell := &coordCell{}
+	cell.close = func() {
+		for _, rd := range cell.readers {
+			rd.Close()
+		}
+		svc.Close()
+	}
+	for i := 0; i < readers; i++ {
+		var rd *walk.ReaderService
+		if addrs == nil {
+			rd, err = svc.AttachReader(rcfg)
+		} else if rp, derr := tcpgob.DialReader(addrs, fabric.Hello{}); derr != nil {
+			err = derr
+		} else {
+			rd, err = walk.NewReaderService(rp, rcfg)
+		}
+		if err != nil {
+			cell.close()
+			return nil, err
+		}
+		cell.readers = append(cell.readers, rd)
+	}
+	return cell, nil
 }
 
 // coordStarts returns reader r's start set under an R-way community
@@ -390,15 +319,5 @@ func runCoordScale(o *Options) error {
 	}
 	tbl.flush()
 
-	if o.CoordScaleJSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.CoordScaleJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.CoordScaleJSONPath)
-	}
-	return nil
+	return o.writeReport("BENCH_coordscale.json", &rep)
 }

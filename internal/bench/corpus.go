@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -145,17 +143,7 @@ func runCorpus(o *Options) error {
 	}
 	tbl.flush()
 
-	if o.CorpusJSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.CorpusJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.CorpusJSONPath)
-	}
-	return nil
+	return o.writeReport("BENCH_corpus.json", &rep)
 }
 
 // corpusCell measures one transport on fresh engines: grow the corpus,
@@ -172,12 +160,7 @@ func corpusCell(o *Options, g *graph.CSR, transport string, clients int, hubs []
 	if err != nil {
 		return CorpusSeries{}, err
 	}
-	backend, ok := svc.(walk.CorpusBackend)
-	if !ok {
-		svc.Close()
-		return CorpusSeries{}, fmt.Errorf("bench: %T does not back a corpus", svc)
-	}
-	corpus, err := walk.NewShardedCorpusService(backend, g.NumVertices(), walk.CorpusConfig{
+	corpus, err := walk.NewShardedCorpusService(svc, g.NumVertices(), walk.CorpusConfig{
 		WalksPerVertex: corpusWalksPerVertex,
 		WalkLength:     o.WalkLength,
 		Seed:           o.Seed,

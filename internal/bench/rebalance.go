@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -122,17 +120,7 @@ func runRebalance(o *Options) error {
 	}
 	tbl.flush()
 
-	if o.RebalanceJSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.RebalanceJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.RebalanceJSONPath)
-	}
-	return nil
+	return o.writeReport("BENCH_rebalance.json", &rep)
 }
 
 // hotStarts collects the distinct sources of the pre-fed tape prefix —
@@ -332,26 +320,12 @@ func rebalanceCell(o *Options, v0 int, transport, mode string, clients int, star
 	}, nil
 }
 
-// rebalanceService narrows the serving surface the cell needs; both
-// fabrics' services satisfy it.
-type rebalanceService interface {
-	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
-	Feed(ups []graph.Update) error
-	Sync() error
-	Stats() walk.ShardedLiveStats
-	Close() error
-}
-
 // newRebalanceService builds an empty 4-shard serving runtime with the
 // given rebalancer policy on the chosen transport (see newShardedService
 // for the transport shapes; this adds the Rebalance config both fabrics'
 // coordinators understand). The graph arrives entirely through the feed.
-func newRebalanceService(o *Options, v0 int, transport string, reb rebalance.Options, crew int) (rebalanceService, error) {
+func newRebalanceService(o *Options, v0 int, transport string, reb rebalance.Options, crew int) (*walk.ShardedLiveService, error) {
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Rebalance: reb}
 	empty := &graph.CSR{Offsets: make([]int64, v0+1)}
-	svc, err := newShardedServiceWithConfig(o, empty, transport, fabric.CacheSpec{}, rebalanceShards, crew, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return svc, nil
+	return newShardedServiceWithConfig(o, empty, transport, fabric.CacheSpec{}, rebalanceShards, crew, cfg)
 }

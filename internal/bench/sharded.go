@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -27,8 +25,8 @@ import (
 // shard count × update load × *transport* × *cache* × *workload*:
 // `inproc` runs the shards over the in-process fabric (the
 // ShardedLiveService channels), `tcp` runs the identical node and
-// coordinator logic over loopback TCP (the tcpgob fabric RemoteService
-// and the shard daemons speak), so the inproc→tcp delta is the measured
+// coordinator logic over loopback TCP (the tcpgob fabric ServeRemote
+// sessions and the shard daemons speak), so the inproc→tcp delta is the measured
 // cost of crossing the wire; cache `on`/`off` toggles the two hub-view
 // cache layers, so the off→on delta is the measured value of serving
 // hub hops lock-free and without hand-offs; workload `uniform` starts
@@ -196,27 +194,7 @@ func runSharded(o *Options) error {
 	}
 	tbl.flush()
 
-	if o.ShardedJSONPath != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.ShardedJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "wrote %s\n", o.ShardedJSONPath)
-	}
-	return nil
-}
-
-// shardedService is what a cell measures: both *walk.ShardedLiveService
-// (inproc fabric) and *walk.RemoteService (tcp fabric) satisfy it.
-type shardedService interface {
-	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
-	Feed(ups []graph.Update) error
-	Sync() error
-	Stats() walk.ShardedLiveStats
-	Close() error
+	return o.writeReport("BENCH_sharded.json", &rep)
 }
 
 // hubStarts returns the top-degree hub set (at least 8 vertices, at most
@@ -243,7 +221,7 @@ func hubStarts(g *graph.CSR) []graph.VertexID {
 // behind real loopback sockets — the same frames, handshake, and
 // per-peer streams `bingowalk -shard-serve` daemons speak — so the cell
 // isolates wire cost without fork/exec noise.
-func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, kernel walk.KernelMode, shards, crew int) (shardedService, error) {
+func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, kernel walk.KernelMode, shards, crew int) (*walk.ShardedLiveService, error) {
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: crew, WalkLength: o.WalkLength, Seed: o.Seed, Cache: cache, Kernel: kernel}
 	return newShardedServiceWithConfig(o, g, transport, cache, shards, crew, cfg)
 }
@@ -252,77 +230,89 @@ func newShardedService(o *Options, g *graph.CSR, transport string, cache fabric.
 // config exposed (the rebalance scenario passes a Rebalance policy; the
 // cache spec still travels separately because the tcp transport ships it
 // in the session Hello).
-func newShardedServiceWithConfig(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, shards, crew int, cfg walk.ShardedLiveConfig) (shardedService, error) {
-	plan := walk.NewShardPlan(g.NumVertices(), shards)
-	newEngine := func(numVertices int) (walk.LiveEngine, error) {
-		s, err := core.New(numVertices, o.bingoConfig())
-		if err != nil {
-			return nil, err
-		}
-		return concurrent.Wrap(s, concurrent.Config{}), nil
-	}
+func newShardedServiceWithConfig(o *Options, g *graph.CSR, transport string, cache fabric.CacheSpec, shards, crew int, cfg walk.ShardedLiveConfig) (*walk.ShardedLiveService, error) {
 	switch transport {
 	case "inproc":
+		plan := walk.NewShardPlan(g.NumVertices(), shards)
 		engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
-			return newEngine(g.NumVertices())
+			return o.shardEngine(g.NumVertices())
 		})
 		if err != nil {
 			return nil, err
 		}
 		return walk.NewShardedLiveService(engines, plan, cfg)
 	case "tcp":
-		listeners := make([]*tcpgob.Listener, shards)
-		addrs := make([]string, shards)
-		for i := 0; i < shards; i++ {
-			l, err := tcpgob.Listen("127.0.0.1:0", i, shards)
-			if err != nil {
-				return nil, err
-			}
-			listeners[i] = l
-			addrs[i] = l.Addr().String()
-		}
-		for i := 0; i < shards; i++ {
-			go func(i int) {
-				defer listeners[i].Close()
-				sc, hello, err := listeners[i].Accept()
-				if err != nil {
-					return
-				}
-				e, err := newEngine(hello.NumVertices)
-				if err != nil {
-					sc.Close()
-					return
-				}
-				nodePlan := walk.ShardPlan{
-					Shards: hello.Shards, RangeSize: hello.RangeSize,
-					Epoch: hello.PlanEpoch, Overlay: hello.Overlay,
-				}
-				kern, _ := walk.ParseKernelMode(hello.Kernel)
-				walk.RunShardNode(e, nodePlan, i, sc, crew, hello.Cache, kern)
-			}(i)
-		}
-		port, err := tcpgob.Dial(addrs, fabric.Hello{
-			RangeSize:   plan.RangeSize,
-			NumVertices: g.NumVertices(),
-			FloatBias:   o.bingoConfig().FloatBias,
-			Cache:       cache,
-			Kernel:      cfg.Kernel.String(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		svc, err := walk.NewRemoteService(port, plan, g.NumVertices(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.Bootstrap(g); err != nil {
-			svc.Close()
-			return nil, err
-		}
-		return svc, nil
+		svc, _, err := newLoopbackService(o, g, cache, shards, crew, cfg)
+		return svc, err
 	default:
 		return nil, fmt.Errorf("bench: unknown transport %q", transport)
 	}
+}
+
+// shardEngine builds one empty concurrent shard engine.
+func (o *Options) shardEngine(numVertices int) (walk.LiveEngine, error) {
+	s, err := core.New(numVertices, o.bingoConfig())
+	if err != nil {
+		return nil, err
+	}
+	return concurrent.Wrap(s, concurrent.Config{}), nil
+}
+
+// newLoopbackService starts shards in-process shard nodes behind real
+// loopback tcpgob listeners, opens a write session over them, and
+// bootstraps g. It also returns the listen addresses, where readers
+// attach.
+func newLoopbackService(o *Options, g *graph.CSR, cache fabric.CacheSpec, shards, crew int, cfg walk.ShardedLiveConfig) (*walk.ShardedLiveService, []string, error) {
+	plan := walk.NewShardPlan(g.NumVertices(), shards)
+	listeners := make([]*tcpgob.Listener, shards)
+	addrs := make([]string, shards)
+	for i := 0; i < shards; i++ {
+		l, err := tcpgob.Listen("127.0.0.1:0", i, shards)
+		if err != nil {
+			return nil, nil, err
+		}
+		listeners[i] = l
+		addrs[i] = l.Addr().String()
+	}
+	for i := 0; i < shards; i++ {
+		go func(i int) {
+			defer listeners[i].Close()
+			sc, hello, err := listeners[i].Accept()
+			if err != nil {
+				return
+			}
+			e, err := o.shardEngine(hello.NumVertices)
+			if err != nil {
+				sc.Close()
+				return
+			}
+			nodePlan := walk.ShardPlan{
+				Shards: hello.Shards, RangeSize: hello.RangeSize,
+				Epoch: hello.PlanEpoch, Overlay: hello.Overlay,
+			}
+			kern, _ := walk.ParseKernelMode(hello.Kernel)
+			walk.RunShardNode(e, nodePlan, i, sc, crew, hello.Cache, kern)
+		}(i)
+	}
+	port, err := tcpgob.Dial(addrs, fabric.Hello{
+		RangeSize:   plan.RangeSize,
+		NumVertices: g.NumVertices(),
+		FloatBias:   o.bingoConfig().FloatBias,
+		Cache:       cache,
+		Kernel:      cfg.Kernel.String(),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	svc, err := walk.NewShardedLiveServiceOver(port, plan, g.NumVertices(), cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := svc.Bootstrap(g); err != nil {
+		svc.Close()
+		return nil, nil, err
+	}
+	return svc, addrs, nil
 }
 
 // shardedCell measures one (workload, transport, cache, kernel, procs,

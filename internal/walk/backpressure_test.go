@@ -38,7 +38,7 @@ func TestCreditWindowBoundsSlowShard(t *testing.T) {
 		defer close(nodeDone)
 		walk.RunShardNode(concurrent.Wrap(s, concurrent.Config{}), plan, 0, fab.ShardPort(0), 1, fabric.CacheSpec{}, walk.KernelAuto)
 	}()
-	svc, err := walk.NewRemoteService(fab.CoordPort(), plan, verts, walk.ShardedLiveConfig{
+	svc, err := walk.NewShardedLiveServiceOver(fab.CoordPort(), plan, verts, walk.ShardedLiveConfig{
 		WalkLength:   4,
 		CreditWindow: window,
 	})

@@ -51,9 +51,9 @@ var ErrFabricDown = errors.New("walk: shard fabric session ended")
 // shard fabric: it launches walkers (queries and bulk runs), routes feed
 // batches by owner shard, pushes sync barriers, and consumes the event
 // stream (retires and acks) to complete them. ShardedLiveService runs it
-// over the in-process fabric; RemoteService runs the identical logic over
-// a wire fabric — the coordinator cannot tell the difference, which is
-// the point of the extraction.
+// over the in-process fabric or over a wire fabric alike — the
+// coordinator cannot tell the difference, which is the point of the
+// extraction.
 type coordinator struct {
 	port fabric.CoordPort
 	// plan is the construction-time geometry (Shards and RangeSize never
@@ -327,8 +327,8 @@ func (c *coordinator) appliedStamp() int64 {
 }
 
 // Err returns the first error the coordinator observed through acks (nil
-// if none). The in-process service prefers its nodes' own records; the
-// remote service has only this.
+// if none). An in-process service prefers its nodes' own records; a port
+// service has only this.
 func (c *coordinator) Err() error {
 	c.errMu.Lock()
 	defer c.errMu.Unlock()
@@ -1177,20 +1177,6 @@ func (c *coordinator) barrier(dump, heat bool) (*barrierWait, error) {
 		coordBarrierNs.ObserveSince(t0)
 	}
 	return bw, nil
-}
-
-// Sync blocks until every feed batch accepted before the call has been
-// applied (or dropped) on its shards, then reports the first ingest
-// error observed anywhere.
-func (c *coordinator) Sync() error {
-	bw, err := c.barrier(false, false)
-	if err != nil {
-		return err
-	}
-	if bw.err != nil {
-		return bw.err
-	}
-	return c.Err()
 }
 
 // DumpEdges drives a dump barrier: it returns every shard's live edge

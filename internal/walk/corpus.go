@@ -61,21 +61,6 @@ var (
 // recompute counterfactual) is the resample amplification the bench
 // gates on.
 
-// CorpusBackend is the sharded serving runtime a sharded corpus
-// maintains its walks over. *ShardedLiveService and *RemoteService both
-// satisfy it: the corpus feeds updates through it, regrows suffixes as
-// walker queries, and reads its applied-update stamps for the
-// bounded-staleness check.
-type CorpusBackend interface {
-	Query(start graph.VertexID, length int) ([]graph.VertexID, error)
-	Feed(ups []graph.Update) error
-	Sync() error
-	AppliedStamp() int64
-	Plan() ShardPlan
-	Stats() ShardedLiveStats
-	Close() error
-}
-
 // CorpusConfig parameterizes a CorpusService.
 type CorpusConfig struct {
 	// WalksPerVertex is K, the standing walks kept per vertex (default 2).
@@ -201,7 +186,7 @@ type CorpusService struct {
 	// applied-stamp evidence all go through the sharded runtime).
 	local LiveEngine
 	kern  *stepKernel
-	svc   CorpusBackend
+	svc   *ShardedLiveService
 
 	master *xrand.RNG
 	rngSeq uint64        // regrow stream counter (refresh goroutine only)
@@ -266,14 +251,14 @@ func NewCorpusService(e LiveEngine, cfg CorpusConfig) (*CorpusService, error) {
 }
 
 // NewShardedCorpusService builds the standing corpus over a sharded
-// serving runtime (in-process ShardedLiveService or remote
-// RemoteService) and starts the refresh loop. The corpus takes ownership
+// serving runtime (in-process shards or daemons behind a port) and
+// starts the refresh loop. The corpus takes ownership
 // of the backend: Feed forwards to it, suffix regrows run as walker
 // queries through it, refreshes barrier it (Sync) so the corpus
 // watermark only advances on applied-stamp evidence, and Close closes
 // it. numVertices is the vertex space to maintain walks for (vertices
 // grown past it by the feed are served as fresh walks).
-func NewShardedCorpusService(svc CorpusBackend, numVertices int, cfg CorpusConfig) (*CorpusService, error) {
+func NewShardedCorpusService(svc *ShardedLiveService, numVertices int, cfg CorpusConfig) (*CorpusService, error) {
 	c, err := newCorpus(cfg, svc.Plan(), numVertices)
 	if err != nil {
 		return nil, err

@@ -37,7 +37,7 @@ const (
 // newCorpusBackend builds an empty sharded serving runtime on the chosen
 // transport for the corpus to ride: the in-process fabric, or loopback
 // tcpgob shard nodes speaking the daemon protocol.
-func newCorpusBackend(t *testing.T, transport string) walk.CorpusBackend {
+func newCorpusBackend(t *testing.T, transport string) *walk.ShardedLiveService {
 	t.Helper()
 	plan := walk.NewShardPlan(hcVerts, hcShards)
 	cfg := walk.ShardedLiveConfig{WalkersPerShard: 2, WalkLength: cdLength, Seed: 0x0FF1CE}
@@ -76,7 +76,7 @@ func newCorpusBackend(t *testing.T, transport string) walk.CorpusBackend {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc, err := walk.NewRemoteService(port, plan, hcVerts, cfg)
+		svc, err := walk.NewShardedLiveServiceOver(port, plan, hcVerts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func TestFailoverKillRestartDifferential(t *testing.T) {
 	for i := 0; i < fvShards; i++ {
 		nodeDone[i] = runChaosNode(t, plan, i, fab.ShardPort(i))
 	}
-	svc, err := walk.NewRemoteService(fab.CoordPort(), plan, fvVerts0, walk.ShardedLiveConfig{
+	svc, err := walk.NewShardedLiveServiceOver(fab.CoordPort(), plan, fvVerts0, walk.ShardedLiveConfig{
 		WalkLength: 8,
 		Seed:       0xFA11,
 	})

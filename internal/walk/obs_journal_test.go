@@ -115,7 +115,7 @@ func TestJournalFailoverOrdering(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		nodeDone[i] = runNode(i, fab.ShardPort(i))
 	}
-	svc, err := NewRemoteService(fab.CoordPort(), plan, n, ShardedLiveConfig{WalkLength: 8, Seed: 11})
+	svc, err := NewShardedLiveServiceOver(fab.CoordPort(), plan, n, ShardedLiveConfig{WalkLength: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -36,22 +37,37 @@ import (
 //     the same dead-end the unsharded engine reports before the inserting
 //     batch lands.
 //
-// Since the shard-fabric extraction, the service is literally a
-// coordinator plus N shard nodes wired over the in-process fabric
-// (internal/fabric/inproc): all cross-shard communication — walker
-// hand-offs, routed update publishes, barriers, retires — flows through
-// fabric ports, and the identical coordinator/node logic runs across
-// processes over the TCP fabric (RemoteService, `bingowalk -shard-serve`).
-// Walker delivery is unbounded and retires never block, so circular
-// forwarding between shards cannot deadlock. Close drains the feed, waits
-// for in-flight walkers, and stops the crews.
+// The service is a coordinator over a fabric port, whatever carries it.
+// NewShardedLiveService wires the coordinator and N shard nodes it
+// starts itself over the in-process fabric (internal/fabric/inproc):
+// all cross-shard communication — walker hand-offs, routed update
+// publishes, barriers, retires — flows through fabric ports.
+// NewShardedLiveServiceOver runs the identical coordinator over a port
+// whose shard nodes it cannot see into — in practice N `bingowalk
+// -shard-serve` daemons reached over the tcpgob fabric. Walker delivery
+// is unbounded and retires never block, so circular forwarding between
+// shards cannot deadlock. Close drains the feed, waits for in-flight
+// walkers, and stops the crews.
+//
+// Per-shard tallies (Updates, Dropped, ShardSteps, Cache) and the grown
+// vertex space come from one ack-shaped record per shard: an in-process
+// session reads it live from its nodes; a port session sees it through
+// barrier acks, exact as of the last Sync (every ack carries cumulative
+// tallies).
+//
+// Backpressure: beyond the coordinator's feed queue, a per-shard credit
+// window bounds the update events in flight toward each shard (routed
+// but not yet applied — shards credit consumed events back on the event
+// stream). A feeder that outruns the shards' apply rate blocks in Feed
+// instead of growing shard-side queues; ShardedLiveConfig.CreditWindow
+// sizes the window.
 type ShardedLiveService struct {
-	engines []LiveEngine
-	nodes   []*shardNode
-	coord   *coordinator
-	fab     *inproc.Fabric // retained so read-coordinators can attach
-	plan    ShardPlan
-	cfg     ShardedLiveConfig
+	coord *coordinator
+	verts int // construction-time vertex space (tallies can only widen it)
+	// nodes and fab are set only when the service started its own shard
+	// nodes over the in-process fabric.
+	nodes []*shardNode
+	fab   *inproc.Fabric // retained so read-coordinators can attach
 }
 
 // ShardedLiveConfig parameterizes a ShardedLiveService.
@@ -127,7 +143,9 @@ type ShardedLiveStats struct {
 	Cache                     fabric.CacheTallies
 	// ShardSteps is the per-shard split of Steps (indexed by shard) — the
 	// load-share view the rebalancer acts on. In-process services read it
-	// live; remote services as of the last Sync.
+	// live; port services as of the last Sync. A shard counts every hop it
+	// sampled, attached readers' walkers included, so with readers the
+	// sum exceeds Steps.
 	ShardSteps []int64
 	// Corpus tallies the standing-walk-corpus maintenance riding on this
 	// service, when one is attached (see CorpusService.ShardedStats; the
@@ -232,35 +250,66 @@ func NewShardedLiveService(engines []LiveEngine, plan ShardPlan, cfg ShardedLive
 		}
 	}
 	fab := inproc.New(plan.Shards, cfg.QueueDepth)
-	s := &ShardedLiveService{
-		engines: engines,
-		nodes:   make([]*shardNode, plan.Shards),
-		fab:     fab,
-		plan:    plan,
-		cfg:     cfg,
-	}
+	s := &ShardedLiveService{nodes: make([]*shardNode, plan.Shards), fab: fab}
 	for i := range engines {
 		s.nodes[i] = startShardNode(engines[i], plan, i, fab.ShardPort(i), cfg.WalkersPerShard, cfg.Cache, cfg.Kernel, false)
+		s.verts = max(s.verts, engines[i].NumVertices())
 	}
 	s.coord = newCoordinator(fab.CoordPort(), plan, cfg)
-	s.coord.noteVerts(int64(s.NumVertices()))
+	s.coord.noteVerts(int64(s.verts))
+	return s, nil
+}
+
+// NewShardedLiveServiceOver starts a coordinator over the given fabric
+// port, whose shard nodes run elsewhere (daemons, or a test's own
+// nodes). numVertices is the construction-time vertex space (the
+// daemons size their engines from the same session Hello); the plan
+// must match the geometry announced to the shards. The service takes
+// ownership of the port: Close ends the session.
+func NewShardedLiveServiceOver(port fabric.CoordPort, plan ShardPlan, numVertices int, cfg ShardedLiveConfig) (*ShardedLiveService, error) {
+	cfg = cfg.withDefaults(plan.Shards)
+	if err := validateReplication(plan, cfg); err != nil {
+		return nil, err
+	}
+	s := &ShardedLiveService{coord: newCoordinator(port, plan, cfg), verts: numVertices}
+	s.coord.noteVerts(int64(numVertices))
 	return s, nil
 }
 
 // Shards returns the partition count.
-func (s *ShardedLiveService) Shards() int { return s.plan.Shards }
+func (s *ShardedLiveService) Shards() int { return s.coord.plan.Shards }
 
-// Plan returns the partition geometry.
-func (s *ShardedLiveService) Plan() ShardPlan { return s.plan }
+// Plan returns the construction-time partition geometry.
+func (s *ShardedLiveService) Plan() ShardPlan { return s.coord.plan }
 
-// NumVertices returns the widest vertex space across the shard engines —
-// the service-level ID space (shards grow independently under the feed).
-func (s *ShardedLiveService) NumVertices() int {
-	n := 0
-	for _, e := range s.engines {
-		if v := e.NumVertices(); v > n {
-			n = v
+// LivePlan returns the live ownership plan (rebalancing overlay
+// included).
+func (s *ShardedLiveService) LivePlan() ShardPlan { return s.coord.planNow() }
+
+// shardTallies returns each shard's cumulative tallies, indexed by
+// shard: read live from the nodes of an in-process session, from the
+// latest barrier acks of a port session.
+func (s *ShardedLiveService) shardTallies() []fabric.Ack {
+	if s.nodes != nil {
+		acks := make([]fabric.Ack, len(s.nodes))
+		for i, n := range s.nodes {
+			acks[i] = *n.tallies()
 		}
+		return acks
+	}
+	s.coord.mu.Lock()
+	defer s.coord.mu.Unlock()
+	return append([]fabric.Ack(nil), s.coord.acks...)
+}
+
+// NumVertices returns the widest vertex space across the shards — the
+// service-level ID space (shards grow independently under the feed). A
+// port session's view is exact as of the last Sync and at least the
+// construction-time space.
+func (s *ShardedLiveService) NumVertices() int {
+	n := s.verts
+	for _, a := range s.shardTallies() {
+		n = max(n, a.Vertices)
 	}
 	return n
 }
@@ -282,9 +331,44 @@ func (s *ShardedLiveService) Feed(ups []graph.Update) error {
 	return s.coord.Feed(ups)
 }
 
+// bootstrapChunk bounds one bootstrap batch (updates per feed element):
+// large enough to amortize framing, small enough that the credit window
+// still paces the stream.
+const bootstrapChunk = 1 << 16
+
+// Bootstrap ships a snapshot to the shards through the fabric itself:
+// each holder's rows travel as dedicated snapshot (Boot) batches —
+// fanned to every replica, credit-paced, but excluded from the routed
+// ledger and the shards' update tallies, so a bootstrapped session's
+// Updates counter reflects feed events alone. A confirming barrier makes
+// the call return only once every shard holds exactly the rows it must.
+// Shared by Engine.ServeRemote, the CLI -connect path, and the bench tcp
+// transport so bootstrap semantics cannot drift between them.
+func (s *ShardedLiveService) Bootstrap(g *graph.CSR) error {
+	s.coord.noteVerts(int64(g.NumVertices()))
+	// Partition with replication stripped: each row must reach the router
+	// exactly once — the router's boot path itself fans every update out
+	// to all of its block's holders (PartitionCSR would otherwise
+	// duplicate the rows a second time).
+	base := s.coord.plan
+	base.Replicas = 1
+	for _, part := range base.PartitionCSR(g) {
+		for len(part) > 0 {
+			n := min(len(part), bootstrapChunk)
+			if err := s.coord.feedBoot(part[:n]); err != nil {
+				return err
+			}
+			part = part[n:]
+		}
+	}
+	return s.Sync()
+}
+
 // Sync blocks until every feed batch accepted before the call has been
 // applied (or dropped) on its shards, then reports the first ingest error.
-// It is the barrier between "fed" and "visible to walkers".
+// It is the barrier between "fed" and "visible to walkers", and it
+// refreshes the ack-carried tallies a port session's Stats and
+// NumVertices read.
 func (s *ShardedLiveService) Sync() error {
 	bw, err := s.coord.barrier(false, false)
 	if err != nil {
@@ -305,34 +389,42 @@ func (s *ShardedLiveService) DeepWalk(cfg Config) (Result, TransferStats, error)
 	return s.coord.DeepWalk(cfg, s.NumVertices())
 }
 
-// Stats returns a snapshot of the service counters. Walk-side counters
-// (Steps, Transfers, Local) are read live from the shard nodes; Queries
-// and Batches from the coordinator.
-func (s *ShardedLiveService) Stats() ShardedLiveStats {
-	st := ShardedLiveStats{
-		Queries:    s.coord.queries.Load(),
-		Batches:    s.coord.batches.Load(),
-		ShardSteps: make([]int64, len(s.nodes)),
-	}
-	for i, n := range s.nodes {
-		st.ShardSteps[i] = n.steps.Load()
-		st.Steps += st.ShardSteps[i]
-		st.Transfers += n.transfers.Load()
-		st.Local += n.local.Load()
-		st.Updates += n.updates.Load()
-		st.Dropped += n.dropped.Load()
-		st.Cache.Add(n.cacheTallies())
-	}
-	st.Rebalance = s.coord.rebalanceTallies()
-	st.Failover = s.coord.failoverTallies()
-	st.Backpressure.Window = s.coord.window
-	st.Backpressure.MaxOutstanding, st.Backpressure.Stalled = s.coord.backpressureTallies()
-	return st
+// DumpEdges reads back every shard's live edge multiset (indexed by
+// shard), consistent with all feed batches accepted before the call —
+// the verification path the differential harnesses use to match a
+// session against a sequential replay edge-for-edge.
+func (s *ShardedLiveService) DumpEdges() ([][]graph.Edge, error) {
+	return s.coord.DumpEdges()
 }
 
-// Plan returns the live ownership plan (overlay included); the Plan
-// method above returns the construction-time geometry.
-func (s *ShardedLiveService) LivePlan() ShardPlan { return s.coord.planNow() }
+// Stats returns a snapshot of the service counters. Queries, Steps,
+// Transfers, and Local are tallied as walkers resolve (first retire
+// wins, so relaunched duplicates never double-count); the per-shard
+// tallies are live for in-process shards and exact as of the last Sync
+// for a port session.
+func (s *ShardedLiveService) Stats() ShardedLiveStats {
+	c := s.coord
+	st := ShardedLiveStats{
+		Queries:   c.queries.Load(),
+		Steps:     c.steps.Load(),
+		Batches:   c.batches.Load(),
+		Transfers: c.transfers.Load(),
+		Local:     c.local.Load(),
+	}
+	acks := s.shardTallies()
+	st.ShardSteps = make([]int64, len(acks))
+	for i, a := range acks {
+		st.Updates += a.Updates
+		st.Dropped += a.Dropped
+		st.ShardSteps[i] = a.Steps
+		st.Cache.Add(a.Cache)
+	}
+	st.Rebalance = c.rebalanceTallies()
+	st.Failover = c.failoverTallies()
+	st.Backpressure.Window = c.window
+	st.Backpressure.MaxOutstanding, st.Backpressure.Stalled = c.backpressureTallies()
+	return st
+}
 
 // AppliedStamp is the sum of the shards' cumulative applied-update
 // stamps from the latest barrier acks — the watermark evidence the
@@ -346,15 +438,22 @@ func (s *ShardedLiveService) AppliedStamp() int64 { return s.coord.appliedStamp(
 // write session) keeps exclusive ownership of ingest, credit flow, and
 // rebalancing. Any number of readers may attach; each detaches
 // independently with Close, and all fail over to ErrFabricDown when the
-// write session closes.
+// write session closes. A port session has no in-process fabric to
+// attach to: readers of daemon shards dial their own read port
+// (tcpgob.DialReader) and call NewReaderService.
 func (s *ShardedLiveService) AttachReader(cfg ReaderConfig) (*ReaderService, error) {
+	if s.fab == nil {
+		return nil, errors.New("walk: AttachReader needs an in-process session; dial a read port to the shards instead")
+	}
 	if cfg.WalkLength <= 0 {
-		cfg.WalkLength = s.cfg.WalkLength
+		cfg.WalkLength = s.coord.cfg.WalkLength
 	}
 	return NewReaderService(s.fab.AttachReader(), cfg)
 }
 
-// Err returns the first ingest error observed (nil if none).
+// Err returns the first ingest error observed (nil if none): an
+// in-process session's own nodes first, then what the coordinator saw
+// through acks.
 func (s *ShardedLiveService) Err() error {
 	for _, n := range s.nodes {
 		if err := n.firstErr(); err != nil {
@@ -365,9 +464,10 @@ func (s *ShardedLiveService) Err() error {
 }
 
 // Close drains the feed (queued batches are applied), waits for every
-// in-flight walker to retire, stops the crews and ingesters, and returns
-// the first ingest error. Close is idempotent; Query, Feed, Sync, and
-// DeepWalk fail with ErrLiveClosed afterwards.
+// in-flight walker to retire, ends the fabric session (daemon shards
+// drain, report, and exit; in-process crews and ingesters stop), and
+// returns the first ingest error. Close is idempotent; Query, Feed,
+// Sync, and DeepWalk fail with ErrLiveClosed afterwards.
 func (s *ShardedLiveService) Close() error {
 	s.coord.Close()
 	for _, n := range s.nodes {

@@ -471,6 +471,20 @@ func (n *shardNode) obsSample() obs.Sample {
 	return s
 }
 
+// tallies returns the node's cumulative ack tallies: what every barrier
+// ack carries to the coordinator, and what an in-process session reads
+// live in its place.
+func (n *shardNode) tallies() *fabric.Ack {
+	return &fabric.Ack{
+		Shard:    n.shard,
+		Updates:  n.updates.Load(),
+		Dropped:  n.dropped.Load(),
+		Vertices: n.e.NumVertices(),
+		Steps:    n.steps.Load(),
+		Cache:    n.cacheTallies(),
+	}
+}
+
 // ingestLoop applies the shard's routed sub-batches in arrival order and
 // acknowledges barriers with the node's cumulative tallies (the ack is
 // what makes distributed ingest progress observable at the coordinator).
@@ -509,16 +523,9 @@ func (n *shardNode) ingestLoop() {
 			continue
 		}
 		if in.IsBarrier() {
-			a := &fabric.Ack{
-				Shard:    n.shard,
-				Seq:      in.Barrier,
-				Updates:  n.updates.Load(),
-				Dropped:  n.dropped.Load(),
-				Vertices: n.e.NumVertices(),
-				Steps:    n.steps.Load(),
-				Cache:    n.cacheTallies(),
-				Obs:      n.obsSample(),
-			}
+			a := n.tallies()
+			a.Seq = in.Barrier
+			a.Obs = n.obsSample()
 			if err := n.firstErr(); err != nil {
 				a.Err = err.Error()
 			}

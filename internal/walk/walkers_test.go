@@ -204,7 +204,7 @@ func TestWriteDeepWalkReportsLostWalkers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			port := newFakePort(2, nil)
-			svc, err := NewRemoteService(port, NewShardPlan(8, 2), 8, ShardedLiveConfig{})
+			svc, err := NewShardedLiveServiceOver(port, NewShardPlan(8, 2), 8, ShardedLiveConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

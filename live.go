@@ -15,6 +15,7 @@ import (
 	"github.com/bingo-rw/bingo/internal/core"
 	"github.com/bingo-rw/bingo/internal/fabric"
 	"github.com/bingo-rw/bingo/internal/fabric/tcpgob"
+	"github.com/bingo-rw/bingo/internal/graph"
 	"github.com/bingo-rw/bingo/internal/rebalance"
 	"github.com/bingo-rw/bingo/internal/walk"
 )
@@ -32,6 +33,10 @@ type ConcurrentConfig struct {
 	// Workers bounds ApplyBatch fan-out (default: the engine's worker
 	// setting).
 	Workers int
+}
+
+func (c ConcurrentConfig) internal() concurrent.Config {
+	return concurrent.Config{Stripes: c.Stripes, MaxStepRetries: c.MaxStepRetries, Workers: c.Workers}
 }
 
 // ConcurrentEngine is a fully concurrent Bingo engine: any number of
@@ -52,11 +57,7 @@ func (e *Engine) Concurrent() *ConcurrentEngine {
 
 // ConcurrentWith is Concurrent with explicit tuning.
 func (e *Engine) ConcurrentWith(cfg ConcurrentConfig) *ConcurrentEngine {
-	ce := concurrent.Wrap(e.s, concurrent.Config{
-		Stripes:        cfg.Stripes,
-		MaxStepRetries: cfg.MaxStepRetries,
-		Workers:        cfg.Workers,
-	})
+	ce := concurrent.Wrap(e.s, cfg.internal())
 	return &ConcurrentEngine{ce: ce, floatMode: e.s.Config().FloatBias}
 }
 
@@ -453,6 +454,11 @@ func fromCacheTallies(t fabric.CacheTallies) HubCacheStats {
 // by owner shard, and cross-shard walker transfer — the supplement §9.1
 // partitioned topology as a live Query/Feed service. The API mirrors
 // LiveWalker, plus Sync (an ingest barrier) and transfer telemetry.
+// ServeSharded runs the shards in this process; ServeRemote runs the same
+// coordinator against shard daemons over the TCP fabric, where the
+// per-shard counters (Updates, Dropped, ShardSteps, Cache) are exact as
+// of the last Sync, since the daemons report them through barrier
+// acknowledgements.
 type ShardedLiveWalker struct {
 	svc       *walk.ShardedLiveService
 	floatMode bool
@@ -473,17 +479,7 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	if o.Replicas > 1 {
 		plan.Replicas = o.Replicas
 	}
-	engines, err := walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
-		s, err := core.New(g.NumVertices(), e.s.Config())
-		if err != nil {
-			return nil, err
-		}
-		return concurrent.Wrap(s, concurrent.Config{
-			Stripes:        o.Concurrency.Stripes,
-			MaxStepRetries: o.Concurrency.MaxStepRetries,
-			Workers:        o.Concurrency.Workers,
-		}), nil
-	})
+	engines, err := e.shardEngines(g, plan, o.Concurrency)
 	if err != nil {
 		return nil, err
 	}
@@ -507,8 +503,24 @@ func (e *Engine) ServeSharded(shards int, o ShardedOptions) (*ShardedLiveWalker,
 	return &ShardedLiveWalker{svc: svc, floatMode: e.s.Config().FloatBias}, nil
 }
 
+// shardEngines builds one concurrent engine per plan shard, each holding
+// exactly the rows of g the plan assigns it.
+func (e *Engine) shardEngines(g *graph.CSR, plan walk.ShardPlan, cc ConcurrentConfig) ([]walk.LiveEngine, error) {
+	return walk.BootstrapShards(g, plan, func() (walk.LiveEngine, error) {
+		s, err := core.New(g.NumVertices(), e.s.Config())
+		if err != nil {
+			return nil, err
+		}
+		return concurrent.Wrap(s, cc.internal()), nil
+	})
+}
+
 // Shards returns the partition count.
 func (sw *ShardedLiveWalker) Shards() int { return sw.svc.Shards() }
+
+// NumVertices returns the widest vertex space across the shards (for
+// daemon shards, exact as of the last Sync).
+func (sw *ShardedLiveWalker) NumVertices() int { return sw.svc.NumVertices() }
 
 // Query walks from start for up to length steps (<= 0 selects the
 // default) across the sharded runtime and returns the visited path, start
@@ -617,17 +629,6 @@ type RemoteOptions struct {
 	Kernel string
 }
 
-// RemoteWalker serves walk queries across a set of shard-daemon
-// processes: the same coordinator ShardedLiveWalker runs in-process,
-// driving walker transfers, routed feeds, and sync barriers over the TCP
-// shard fabric instead of channels. The API mirrors ShardedLiveWalker;
-// ingest-side counters (Updates, Dropped) are exact as of the last Sync,
-// since the shards report them through barrier acknowledgements.
-type RemoteWalker struct {
-	svc       *walk.RemoteService
-	floatMode bool
-}
-
 // ServeRemote partitions the engine's current graph across one shard
 // daemon per address (each a `bingowalk -shard-serve` process, already
 // listening) and starts a serving session: every daemon receives the
@@ -635,7 +636,7 @@ type RemoteWalker struct {
 // and the call returns once a sync barrier confirms the bootstrap landed.
 // The engine's graph is snapshotted at this call; feed later mutations
 // through the returned walker.
-func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, error) {
+func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*ShardedLiveWalker, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("bingo: ServeRemote needs at least one shard address")
 	}
@@ -659,7 +660,7 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 	if err != nil {
 		return nil, err
 	}
-	svc, err := walk.NewRemoteService(port, plan, g.NumVertices(), walk.ShardedLiveConfig{
+	svc, err := walk.NewShardedLiveServiceOver(port, plan, g.NumVertices(), walk.ShardedLiveConfig{
 		QueueDepth:   o.QueueDepth,
 		WalkLength:   o.WalkLength,
 		Seed:         o.Seed,
@@ -674,57 +675,8 @@ func (e *Engine) ServeRemote(addrs []string, o RemoteOptions) (*RemoteWalker, er
 		svc.Close()
 		return nil, fmt.Errorf("bingo: bootstrapping shards: %w", err)
 	}
-	return &RemoteWalker{svc: svc, floatMode: floatMode}, nil
+	return &ShardedLiveWalker{svc: svc, floatMode: floatMode}, nil
 }
-
-// Shards returns the partition (daemon) count.
-func (rw *RemoteWalker) Shards() int { return rw.svc.Shards() }
-
-// NumVertices returns the widest vertex space observed across the shard
-// daemons (exact as of the last Sync).
-func (rw *RemoteWalker) NumVertices() int { return rw.svc.NumVertices() }
-
-// Query walks from start for up to length steps (<= 0 selects the
-// default) across the shard daemons and returns the visited path, start
-// included.
-func (rw *RemoteWalker) Query(start VertexID, length int) ([]VertexID, error) {
-	return rw.svc.Query(start, length)
-}
-
-// Feed enqueues updates; the coordinator routes them to their owner
-// daemons preserving per-source order. It blocks when the feed queue is
-// full and fails with an error after Close.
-func (rw *RemoteWalker) Feed(ups []Update) error {
-	internal, err := toInternalUpdates(rw.floatMode, ups)
-	if err != nil {
-		return err
-	}
-	return rw.svc.Feed(internal)
-}
-
-// Sync blocks until every batch accepted before the call is applied on
-// its daemons, then reports the first ingest error — and refreshes the
-// ack-carried tallies Stats reads.
-func (rw *RemoteWalker) Sync() error { return rw.svc.Sync() }
-
-// DeepWalk runs a bulk first-order walk across the shard daemons while
-// the feed keeps ingesting.
-func (rw *RemoteWalker) DeepWalk(o WalkOptions) (WalkResult, ShardedLiveStats, error) {
-	res, ts, err := rw.svc.DeepWalk(o.internal())
-	st := ShardedLiveStats{Steps: res.Steps, Transfers: ts.Transfers, Local: ts.Local}
-	st.Cache.RemoteHits = ts.Remote
-	return fromWalk(res), st, err
-}
-
-// Stats snapshots the session counters (Updates/Dropped, per-shard
-// steps, and the cache tallies as of the last Sync).
-func (rw *RemoteWalker) Stats() ShardedLiveStats {
-	return fromShardedStats(rw.svc.Stats())
-}
-
-// Close ends the session: the feed drains, in-flight walkers retire, the
-// daemons wind down and exit their serving loop. Idempotent.
-func (rw *RemoteWalker) Close() error { return rw.svc.Close() }
 
 // ---------------------------------------------------------------------------
 // Read-coordinators (query-tier scale-out)
@@ -739,6 +691,10 @@ type ReaderOptions struct {
 	// serves hops without any shard round trip (zero value = enabled with
 	// defaults; Off disables reader-local serving).
 	HubCache HubCacheOptions
+}
+
+func (o ReaderOptions) internal() walk.ReaderConfig {
+	return walk.ReaderConfig{WalkLength: o.WalkLength, Seed: o.Seed, Cache: o.HubCache.spec()}
 }
 
 // ReaderWalkerStats snapshot a read-coordinator's activity.
@@ -787,11 +743,7 @@ func AttachReader(addrs []string, o ReaderOptions) (*ReaderWalker, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc, err := walk.NewRemoteReader(port, walk.ReaderConfig{
-		WalkLength: o.WalkLength,
-		Seed:       o.Seed,
-		Cache:      o.HubCache.spec(),
-	})
+	svc, err := walk.NewReaderService(port, o.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -801,13 +753,11 @@ func AttachReader(addrs []string, o ReaderOptions) (*ReaderWalker, error) {
 // AttachReader attaches an in-process read-coordinator to this walker's
 // shard set: the returned ReaderWalker serves Query/DeepWalk against the
 // same shard engines while this walker keeps exclusive ownership of
-// ingest and rebalancing.
+// ingest and rebalancing. A walker from ServeRemote has no in-process
+// shards to attach to and returns an error; attach to its daemons with
+// the package-level AttachReader.
 func (sw *ShardedLiveWalker) AttachReader(o ReaderOptions) (*ReaderWalker, error) {
-	svc, err := sw.svc.AttachReader(walk.ReaderConfig{
-		WalkLength: o.WalkLength,
-		Seed:       o.Seed,
-		Cache:      o.HubCache.spec(),
-	})
+	svc, err := sw.svc.AttachReader(o.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -939,11 +889,7 @@ func serveOneShardSession(sc *tcpgob.ShardConn, hello fabric.Hello, shard int, o
 		sc.Close()
 		return ShardServeStats{}, err
 	}
-	eng := concurrent.Wrap(s, concurrent.Config{
-		Stripes:        o.Concurrency.Stripes,
-		MaxStepRetries: o.Concurrency.MaxStepRetries,
-		Workers:        o.Concurrency.Workers,
-	})
+	eng := concurrent.Wrap(s, o.Concurrency.internal())
 	walkers := o.Walkers
 	if walkers <= 0 {
 		walkers = runtime.GOMAXPROCS(0)
